@@ -22,6 +22,8 @@ from .congruence import (
     expand_c_theorem,
     residue_b,
     residue_c,
+    residues_b,
+    residues_c,
     to_digits,
 )
 from .counting import (
@@ -82,6 +84,8 @@ __all__ = [
     "reduce",
     "residue_b",
     "residue_c",
+    "residues_b",
+    "residues_c",
     "smallest_prime_factor",
     "to_digits",
 ]

@@ -31,6 +31,8 @@ __all__ = [
     "expand_c_theorem",
     "residue_b",
     "residue_c",
+    "residues_b",
+    "residues_c",
     "to_digits",
 ]
 
@@ -188,7 +190,9 @@ def binom_lift(top: int, bottom: int, modulus: int) -> Residue:
             prime=witness,
             modulus=modulus,
         )
-    return Residue(_lifted_binom(top, bottom, modulus), modulus)
+    if top < bottom:
+        top += (bottom - top + modulus - 1) // modulus * modulus
+    return Residue(comb(top, bottom) % modulus, modulus)
 
 
 def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True) -> Residue:
@@ -207,12 +211,36 @@ def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True
     digits = to_digits(n, prob.m)
     if enforce_hypothesis:
         _require_hypothesis(prob, digits.top_index)
-    k0 = prob.colours.count(0)
-    value = comb(k0 - 1 + digits.digits[0], k0 - 1) % prob.m
-    for j in range(1, len(digits.digits)):
-        kj = prob.colours.count(j)
-        value = value * comb(kj + digits.digits[j], kj) % prob.m
+    value = 1
+    for j, d in enumerate(digits.digits):
+        value = value * _digit_entry(prob, j, d) % prob.m
     return Residue(value, prob.m)
+
+
+def residues_b(
+    prob: PartitionProblem, limit: int, *, enforce_hypothesis: bool = True
+) -> list[int]:
+    """residue_b(n, prob).value for every n in 0..limit, in O(limit) steps.
+
+    The formula is a product of one digit-row entry per base-m digit, so
+    the residues of 0..m^(j+1) - 1 are the Kronecker product of the row at
+    position j with those of 0..m^j - 1.  The hypothesis is checked once,
+    through the top digit index of limit, and fails exactly as the first
+    failing residue_b call would.
+    """
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    m = prob.m
+    top = _max_power_index(m, limit)
+    if enforce_hypothesis:
+        _require_hypothesis(prob, top)
+    acc = _digit_row(prob, 0, min(m, limit + 1))
+    power = m
+    for j in range(1, top + 1):
+        row = _digit_row(prob, j, min(m, limit // power + 1))
+        acc = [r * a % m for r in row for a in acc][: limit + 1]
+        power *= m
+    return acc
 
 
 def decompose_gapfree(n_prime: int, base: int) -> GapFreeDecomposition:
@@ -264,23 +292,67 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
     dec = decompose_gapfree(n_prime, m)
     if enforce_hypothesis:
         _require_hypothesis(prob, dec.t)
-    k0 = prob.colours.count(0)
-    lead = _lifted_binom(k0 - 1 - dec.d0, k0 - 1, m)
-    k_s = prob.colours.count(dec.s)
-    d_s = dec.digits[0]
-    bracket = (comb(k_s + d_s - 1, k_s) - 1) % m
+    # the lifted C(k_0 - 1 - d_0, k_0 - 1) is C(k_0 - 1 + (m - d_0), k_0 - 1),
+    # one step up for d_0 >= 1 and none for d_0 = 0
+    lead = _digit_entry(prob, 0, -dec.d0 % m)
+    bracket = (_digit_entry(prob, dec.s, dec.digits[0] - 1) - 1) % m
     tail_sum = 0
     running = 1
     for i in range(dec.s, dec.t + 1):
         if i > dec.s:
-            k_i = prob.colours.count(i)
-            d_i = dec.digits[i - dec.s]
-            running = running * (comb(k_i + d_i, k_i) - 1) % m
+            running = running * (_digit_entry(prob, i, dec.digits[i - dec.s]) - 1) % m
         tail_sum = (tail_sum + running) % m
     eps = dec.s % 2
     sign = 1 if eps else -1
     value = lead * (eps + sign * bracket * tail_sum) % m
     return Residue(value, m)
+
+
+def residues_c(
+    prob: PartitionProblem, limit: int, *, enforce_hypothesis: bool = True
+) -> list[int]:
+    """residue_c(n, prob).value for every n in 1..limit, with 0 at index 0.
+
+    A query n' = m x - d_0 factors as lead(d_0) * F(x), where F reads the
+    digits of x from position 1 of n up.  F and the tail sum U behind it
+    are tabulated one digit position at a time, top down: with T_p the
+    row at position p less one,
+
+        U_p(x) = 1 + T_p[x % m] * U_{p+1}(x // m),
+        F_p(x) = F_{p+1}(x // m)                       if x % m == 0,
+                 eps_p + sign_p * T_p[x % m - 1] * U_{p+1}(x // m)  otherwise,
+
+    and U_p(0) = 1 needs no special case because T_p[0] = 0.  Costs
+    O(limit) steps.  The hypothesis is checked once, through the top digit
+    index of the largest rounded-up n, and fails exactly as the first
+    failing residue_c call would.
+    """
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit == 0:
+        return [0]
+    m = prob.m
+    top_n = -(-limit // m) * m
+    top = _max_power_index(m, top_n)
+    if enforce_hypothesis:
+        _require_hypothesis(prob, top)
+    # U and F at position top + 1, where only x = 0 occurs
+    tail, body = [1], [0]
+    for p in range(top, 0, -1):
+        size = top_n // m**p + 1
+        row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size))]
+        eps = p % 2
+        sign = 1 if eps else -1
+        next_tail, next_body = [], []
+        for u, f in zip(tail, body):
+            next_tail += [(1 + r * u) % m for r in row]
+            next_body.append(f)
+            next_body += [(eps + sign * r * u) % m for r in row[:-1]]
+        tail, body = next_tail[:size], next_body[:size]
+    # lead(d_0) for d_0 = m - 1, ..., 1, 0, the order n' ascends within a block
+    lead = _digit_row(prob, 0, min(m, limit + 1))
+    lead = lead[1:] + lead[:1]
+    return [0] + [c * f % m for f in body[1:] for c in lead][:limit]
 
 
 def expand_b_product(prob: PartitionProblem, truncation: int) -> ModSeries:
@@ -297,26 +369,16 @@ def expand_b_theorem(
     sum_{l=0..m-1} C(k_0 - 1 + l, k_0 - 1) q^l and position j >= 1
     contributes sum_{l=0..m-1} C(k_j + l, k_j) q^(l m^j).  A position is
     included exactly while its minimal nonzero exponent m^j fits under the
-    truncation.  Coefficientwise equal to expand_b_product under the
-    coprimality hypothesis.
+    truncation.  The product of these polynomials has coefficient
+    residue_b(n) at q^n, so it is built directly by residues_b.
+    Coefficientwise equal to expand_b_product under the coprimality
+    hypothesis.
     """
-    m = prob.m
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    top = _max_power_index(m, truncation)
-    if enforce_hypothesis:
-        _require_hypothesis(prob, top)
-    k0 = prob.colours.count(0)
-    acc = _mod_poly(m, truncation, ((l, comb(k0 - 1 + l, k0 - 1)) for l in range(m)))
-    power = m
-    for index in range(1, top + 1):
-        k = prob.colours.count(index)
-        factor = _mod_poly(
-            m, truncation, ((l * power, comb(k + l, k)) for l in range(m))
-        )
-        acc = series.mul(acc, factor)
-        power *= m
-    return acc
+    return ModSeries(
+        prob.m, truncation, residues_b(prob, truncation, enforce_hypothesis=enforce_hypothesis)
+    )
 
 
 def expand_c_product(prob: PartitionProblem, truncation: int) -> ModSeries:
@@ -351,21 +413,16 @@ def expand_c_theorem(
     top = _max_power_index(m, truncation)
     if enforce_hypothesis:
         _require_hypothesis(prob, top + 1)
-    k0 = prob.colours.count(0)
-    lead = _mod_poly(
-        m, truncation, ((l, comb(k0 - 1 + l, k0 - 1)) for l in range(1, m + 1))
-    )
+    lead = _mod_poly(m, truncation, ((l, _digit_entry(prob, 0, l)) for l in range(1, m + 1)))
     total = [0] * (truncation + 1)
     partial = ModSeries.one(m, truncation)
     power = 1
     for index in range(top + 1):
         if index >= 1:
-            k = prob.colours.count(index)
+            row = _digit_row(prob, index, m)
             partial = series.mul(
                 partial,
-                _mod_poly(
-                    m, truncation, ((l * power, comb(k + l, k) - 1) for l in range(m))
-                ),
+                _mod_poly(m, truncation, ((l * power, v - 1) for l, v in enumerate(row))),
             )
         term = series.mul(
             series.geometric_inverse_mod(power * m, m, truncation), partial
@@ -391,11 +448,19 @@ def _require_hypothesis(prob: PartitionProblem, max_index: int) -> None:
         )
 
 
-def _lifted_binom(top: int, bottom: int, modulus: int) -> int:
-    if top < bottom:
-        steps = (bottom - top + modulus - 1) // modulus
-        top += steps * modulus
-    return comb(top, bottom) % modulus
+def _digit_entry(prob: PartitionProblem, index: int, digit: int) -> int:
+    """C(k + digit, k) mod m, the factor digit contributes at position index.
+
+    k is the colour count k_index, less one at index 0; that k is also the
+    bound the coprimality hypothesis puts on m's prime factors there.
+    """
+    k = prob.colours.count(index) - (index == 0)
+    return comb(k + digit, k) % prob.m
+
+
+def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:
+    """The digit entries for digits 0..length-1 at one position."""
+    return [_digit_entry(prob, index, d) for d in range(length)]
 
 
 def _mod_poly(modulus: int, truncation: int, terms) -> ModSeries:

@@ -11,7 +11,7 @@ in [0, m - 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 __all__ = [
     "CoprimalityError",
@@ -65,10 +65,17 @@ def coprimality_witness(modulus: int, bound: int) -> int | None:
 
     gcd(modulus, bound!) > 1 exactly when some prime factor of the modulus
     is at most bound, and the smallest prime factor is then the smallest
-    witness.
+    witness.  Trial division stops at min(bound, sqrt(modulus)), so a huge
+    prime modulus costs O(bound) steps, not O(sqrt(modulus)).
     """
-    p = smallest_prime_factor(modulus)
-    return p if p <= bound else None
+    if modulus < 2:
+        raise ValueError("coprimality_witness needs a modulus of at least 2")
+    for p in range(2, min(bound, isqrt(modulus)) + 1):
+        if modulus % p == 0:
+            return p
+    # no factor up to sqrt(modulus) within the bound: a modulus that is
+    # itself at most bound is then prime
+    return modulus if modulus <= bound else None
 
 
 @dataclass(frozen=True)

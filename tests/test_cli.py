@@ -1,12 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
+from mary import cli
 from mary.cli import (
+    CHECK_KINDS,
     EXIT_CONFIG,
     EXIT_OK,
     GRID_MODULI,
+    MISMATCH_RECORD_LIMIT,
     JobConfig,
+    _verify_cell,
     default_grid,
     grid_colour_specs,
     main,
@@ -95,6 +100,12 @@ class TestResidue:
         records = json.loads(out)
         assert all(r["note"].startswith("skipped") for r in records)
         assert all("prime 2" in r["note"] for r in records)
+
+    def test_huge_prime_base_answers_at_once(self, capsys):
+        code, out, _ = run(capsys, "residue", "--m", "1000000000000000003", "--k", "1",
+                           "--variant", "b", "--n", "5", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == [{"n": 5, "digits": "5", "residue": 1, "note": ""}]
 
     def test_gapfree_zero_is_a_domain_note(self, capsys):
         code, out, _ = run(capsys, "residue", "--m", "3", "--k", "1", "--variant", "c",
@@ -209,6 +220,16 @@ class TestGrid:
         second = [(p.m, p.colours) for p in default_grid()]
         assert first == second
 
+    @pytest.mark.parametrize("failing, size, digest", [
+        (False, 54, "e2ea1ace17ae18a0"),
+        (True, 40, "36ddd65f40c46130"),
+    ])
+    def test_grids_are_pinned(self, failing, size, digest):
+        grid = default_grid(failing=failing)
+        text = "\n".join(f"{p.m}:{p.colours}" for p in grid)
+        assert len(grid) == size
+        assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
+
     def test_no_duplicate_points(self):
         grid = [(p.m, p.colours) for p in default_grid()]
         assert len(grid) == len(set(grid))
@@ -231,6 +252,21 @@ class TestGrid:
         assert report.mismatches
         keys = [(r["m"], r["k"], r["n"], r["check"]) for r in report.mismatches]
         assert keys == sorted(keys)
+
+    def test_capped_records_are_the_sorted_head(self, monkeypatch):
+        cfg = JobConfig(command="verify", m=2, colours=cli.ColourSpec.parse("3"),
+                        residue_limit=600, probe=True)
+        report = run_verification(cfg)
+        _, _, capped = _verify_cell(("corollary-c", 2, (3,), 3, 600, True))
+        assert len(capped) == MISMATCH_RECORD_LIMIT
+        monkeypatch.setattr(cli, "MISMATCH_RECORD_LIMIT", 10**9)
+        uncapped = []
+        for kind in CHECK_KINDS:
+            _, _, records = _verify_cell((kind, 2, (3,), 3, 600, True))
+            uncapped.extend(records)
+        uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
+        assert len(uncapped) == report.mismatched > MISMATCH_RECORD_LIMIT
+        assert report.mismatches == uncapped[:MISMATCH_RECORD_LIMIT]
 
 
 class TestConfigErrors:

@@ -7,6 +7,7 @@ from mary import (
     ColourSpec,
     CoprimalityError,
     Digits,
+    ModSeries,
     PartitionProblem,
     binom_lift,
     check_hypothesis,
@@ -19,8 +20,12 @@ from mary import (
     expand_c_theorem,
     residue_b,
     residue_c,
+    residues_b,
+    residues_c,
     to_digits,
 )
+from mary import series
+from mary.cli import default_grid
 
 
 def problem(m, text):
@@ -315,3 +320,94 @@ class TestExpansions:
         prob = problem(2, "3")
         assert expand_b_product(prob, 8).coeffs[0] == 1
         assert expand_c_product(prob, 8).coeffs[0] == 1
+
+
+def point_residues(prob, limit, enforce):
+    b = [residue_b(n, prob, enforce_hypothesis=enforce).value for n in range(limit + 1)]
+    c = [0] + [residue_c(n, prob, enforce_hypothesis=enforce).value
+               for n in range(1, limit + 1)]
+    return b, c
+
+
+def mul_chain_b_theorem(prob, truncation):
+    """expand_b_theorem as a series.mul chain of one digit polynomial per position."""
+    m = prob.m
+
+    def digit_poly(power, bottom):
+        coeffs = [0] * (truncation + 1)
+        for l in range(m):
+            if l * power <= truncation:
+                coeffs[l * power] = comb(bottom + l, bottom) % m
+        return ModSeries(m, truncation, coeffs)
+
+    acc = digit_poly(1, prob.colours.count(0) - 1)
+    power, index = m, 1
+    while power <= truncation:
+        acc = series.mul(acc, digit_poly(power, prob.colours.count(index)))
+        power, index = power * m, index + 1
+    return acc
+
+
+class TestBatchResidues:
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_match_point_formulas_on_grid(self, failing):
+        for prob in default_grid(failing=failing):
+            b, c = point_residues(prob, 2000, not failing)
+            assert residues_b(prob, 2000, enforce_hypothesis=not failing) == b, prob
+            assert residues_c(prob, 2000, enforce_hypothesis=not failing) == c, prob
+
+    @pytest.mark.parametrize("m, spec", [
+        (15, "3,2;2"), (15, "1,1,2;1"), (25, "5,4;3"), (27, "2,1,2;2"),
+        (45, "3,2;1"), (45, "1,2,1;2"),
+    ])
+    def test_match_point_formulas_on_composite_moduli(self, m, spec):
+        prob = problem(m, spec)
+        assert check_hypothesis(prob, 10)
+        for limit in (0, 1, m - 1, m, m + 1, 700):
+            b, c = point_residues(prob, limit, True)
+            assert residues_b(prob, limit) == b
+            assert residues_c(prob, limit) == c
+
+    def test_base_above_limit_builds_short_rows(self):
+        prob = problem(10007, "3,2;4")
+        b, c = point_residues(prob, 50, True)
+        assert residues_b(prob, 50) == b
+        assert residues_c(prob, 50) == c
+
+    def test_limit_zero(self):
+        prob = problem(3, "2,1")
+        assert residues_b(prob, 0) == [1]
+        assert residues_c(prob, 0) == [0]
+        with pytest.raises(ValueError):
+            residues_b(prob, -1)
+        with pytest.raises(ValueError):
+            residues_c(prob, -1)
+
+    @pytest.mark.parametrize("m, spec, limit", [
+        (2, "3", 10), (2, "1,3", 10), (3, "1,2,3;1", 40), (3, "1,2,3;1", 5),
+        (3, "1,2,3;1", 7), (9, "1,1,1,3;1", 800), (5, "6,1", 1),
+    ])
+    def test_errors_match_first_failing_point_call(self, m, spec, limit):
+        prob = problem(m, spec)
+        for batch, point, start in ((residues_b, residue_b, 0), (residues_c, residue_c, 1)):
+            first = None
+            for n in range(start, limit + 1):
+                try:
+                    point(n, prob)
+                except CoprimalityError as exc:
+                    first = exc
+                    break
+            if first is None:
+                batch(prob, limit)
+                continue
+            with pytest.raises(CoprimalityError) as info:
+                batch(prob, limit)
+            assert (info.value.prime, info.value.index) == (first.prime, first.index)
+
+    @pytest.mark.parametrize("m, spec, degree", [
+        (2, "1", 64), (2, "2;1", 100), (3, "2,1", 81), (5, "2,3;1", 125),
+        (7, "4,2;3", 400), (9, "3,2;1", 729), (10007, "2", 30),
+    ])
+    def test_b_theorem_equals_mul_chain(self, m, spec, degree):
+        prob = problem(m, spec)
+        assert expand_b_theorem(prob, degree) == mul_chain_b_theorem(prob, degree)

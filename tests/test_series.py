@@ -233,3 +233,12 @@ class TestPrimitives:
         assert coprimality_witness(9, 2) is None
         assert coprimality_witness(9, 3) == 3
         assert coprimality_witness(7, 6) is None
+        assert coprimality_witness(7, 7) == 7
+        assert coprimality_witness(35, 100) == 5
+
+    def test_coprimality_witness_on_a_huge_prime(self):
+        # trial division stops at the bound, not at sqrt(10**18)
+        prime = 1000000000000000003
+        for bound in range(7):
+            assert coprimality_witness(prime, bound) is None
+        assert coprimality_witness(3 * prime, 6) == 3
