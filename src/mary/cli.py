@@ -9,9 +9,10 @@ Four subcommands share one executable:
                 against the exact oracles
 
 Exit codes: 0 for success or information, 1 for a mathematical mismatch,
-2 for configuration or hypothesis errors.  Verification output on stdout
-is byte-identical for a given configuration regardless of worker count;
-timing goes to stderr.
+2 for configuration or hypothesis errors, requests past the size limit
+and unexpected errors.  Verification output on stdout is byte-identical
+for a given configuration regardless of worker count; timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .congruence import (
     decompose_gapfree,
@@ -40,14 +42,13 @@ from .congruence import (
 )
 from .counting import (
     ColourSpec,
-    EnumerationCapError,
     PartitionProblem,
     count_b_enum,
     count_b_series,
     count_c_enum,
     count_c_series,
 )
-from .series import CoprimalityError, smallest_prime_factor
+from .series import CoprimalityError, coprimality_witness
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -61,6 +62,9 @@ RESIDUE_SWEEP_LIMIT = 2000
 MAX_COLOUR_ENTRY = 6
 CHECK_KINDS = ("corollary-b", "corollary-c", "theorem-b", "theorem-c")
 MISMATCH_RECORD_LIMIT = 100
+# Most series terms or records one command may ask for; anything larger is
+# a configuration error rather than an unbounded run.
+MAX_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,19 @@ class JobConfig:
         if jobs < 1:
             raise ValueError(f"--jobs must be positive, got {jobs}")
         residue_limit = truncation if ns.command == "verify" and truncation is not None else RESIDUE_SWEEP_LIMIT
+        if ns.command == "count":
+            _require_terms("--n/--range", span[1] + 1)
+        elif ns.command == "residue":
+            _require_terms("--n/--range", span[1] - span[0] + 1)
+        elif ns.command == "expand":
+            if truncation is None:
+                truncation = m ** 4
+            _require_terms("--N (default m**4)", truncation + 1)
+        elif ns.command == "verify":
+            _require_terms("--N", residue_limit + 1)
+            # the theorem checks expand to degree m**4
+            top_m = m if m is not None else max(GRID_MODULI)
+            _require_terms(f"--m {top_m} (degree m**4)", top_m ** 4 + 1)
         return cls(
             command=ns.command,
             m=m,
@@ -132,6 +149,11 @@ class VerifyReport:
     skipped_hypothesis: int = 0
     mismatches: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
+
+
+def _require_terms(option: str, terms: int) -> None:
+    if terms > MAX_TERMS:
+        raise ValueError(f"{option} asks for {terms} terms, more than the limit of {MAX_TERMS}")
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -215,23 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # record emission
 
-def _emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> None:
+def _emit(rows: list[tuple], fmt: str, fields: tuple[str, ...]) -> None:
+    """Write rows, one value per field, as a JSON list, CSV or an aligned table.
+
+    The text table is streamed line by line; each column is as wide as its
+    widest cell or header, and trailing blanks are stripped.
+    """
     if fmt == "json":
-        print(json.dumps(records, indent=1))
+        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=1))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(fields)
-        for record in records:
-            writer.writerow([record[f] for f in fields])
+        writer.writerows(rows)
     else:
-        rows = [[str(record[f]) for f in fields] for record in records]
-        widths = [
-            max(len(name), *(len(row[i]) for row in rows)) if rows else len(name)
-            for i, name in enumerate(fields)
-        ]
-        print("  ".join(name.ljust(w) for name, w in zip(fields, widths)).rstrip())
-        for row in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        # widths come from one column at a time, so the cell strings are
+        # never all held at once; !s formats each cell as str() would
+        widths = [max(map(len, map(str, column))) for column in zip(fields, *rows)]
+        template = "  ".join(f"{{!s:<{w}}}" for w in widths)
+        sys.stdout.writelines(
+            template.format(*cells).rstrip() + "\n" for cells in chain((fields,), rows)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +265,16 @@ def _emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> None:
 def cmd_count(cfg: JobConfig) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     lo, hi = cfg.span
-    records = []
     if cfg.use_enum:
         enum = count_b_enum if cfg.variant == "b" else count_c_enum
-        for n in range(lo, hi + 1):
-            if cfg.variant == "c" and n == 0:
-                value = 0
-            else:
-                try:
-                    value = enum(prob, n)
-                except EnumerationCapError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_CONFIG
-            records.append({"n": n, "count": str(value), "mod": value % prob.m})
+        # past its cap enum raises EnumerationCapError, a configuration error
+        values = [0 if cfg.variant == "c" and n == 0 else enum(prob, n)
+                  for n in range(lo, hi + 1)]
     else:
         build = count_b_series if cfg.variant == "b" else count_c_series
-        coeffs = build(prob, hi).coeffs
-        for n in range(lo, hi + 1):
-            records.append({"n": n, "count": str(coeffs[n]), "mod": coeffs[n] % prob.m})
-    _emit(records, cfg.fmt, ("n", "count", "mod"))
+        values = build(prob, hi).coeffs[lo:]
+    rows = [(n, str(value), value % prob.m) for n, value in enumerate(values, lo)]
+    _emit(rows, cfg.fmt, ("n", "count", "mod"))
     return EXIT_OK
 
 
@@ -268,11 +284,10 @@ def cmd_count(cfg: JobConfig) -> int:
 def cmd_residue(cfg: JobConfig) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     lo, hi = cfg.span
-    records = []
+    rows = []
     for n in range(lo, hi + 1):
         if cfg.variant == "c" and n == 0:
-            records.append({"n": n, "digits": "", "residue": "",
-                            "note": "undefined for n = 0"})
+            rows.append((n, "", "", "undefined for n = 0"))
             continue
         try:
             if cfg.variant == "b":
@@ -282,12 +297,10 @@ def cmd_residue(cfg: JobConfig) -> int:
                 value = residue_c(n, prob).value
                 digits = to_digits(decompose_gapfree(n, prob.m).n, prob.m).digits
         except CoprimalityError as exc:
-            records.append({"n": n, "digits": "", "residue": "",
-                            "note": f"skipped: {exc}"})
+            rows.append((n, "", "", f"skipped: {exc}"))
             continue
-        records.append({"n": n, "digits": ",".join(map(str, digits)),
-                        "residue": value, "note": ""})
-    _emit(records, cfg.fmt, ("n", "digits", "residue", "note"))
+        rows.append((n, ",".join(map(str, digits)), value, ""))
+    _emit(rows, cfg.fmt, ("n", "digits", "residue", "note"))
     return EXIT_OK
 
 
@@ -296,23 +309,18 @@ def cmd_residue(cfg: JobConfig) -> int:
 
 def cmd_expand(cfg: JobConfig) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
-    truncation = cfg.truncation if cfg.truncation is not None else prob.m ** 4
-    try:
-        if cfg.variant == "b":
-            lhs = expand_b_product(prob, truncation)
-            rhs = expand_b_theorem(prob, truncation)
-        else:
-            lhs = expand_c_product(prob, truncation)
-            rhs = expand_c_theorem(prob, truncation)
-    except CoprimalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    records = [
-        {"exponent": e, "lhs": left, "rhs": right, "match": left == right}
+    if cfg.variant == "b":
+        lhs = expand_b_product(prob, cfg.truncation)
+        rhs = expand_b_theorem(prob, cfg.truncation)
+    else:
+        lhs = expand_c_product(prob, cfg.truncation)
+        rhs = expand_c_theorem(prob, cfg.truncation)
+    rows = [
+        (e, left, right, left == right)
         for e, (left, right) in enumerate(zip(lhs.coeffs, rhs.coeffs))
     ]
-    _emit(records, cfg.fmt, ("exponent", "lhs", "rhs", "match"))
-    return EXIT_OK if all(r["match"] for r in records) else EXIT_MISMATCH
+    _emit(rows, cfg.fmt, ("exponent", "lhs", "rhs", "match"))
+    return EXIT_OK if lhs.coeffs == rhs.coeffs else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +335,9 @@ def grid_colour_specs(m: int, quota: int, *, failing: bool = False) -> list[Colo
     Single-entry specs are always kept first so the boundary k_0 = 1 and
     the all-ones spec appear; a seeded shuffle fills the rest of the quota.
     """
-    p = smallest_prime_factor(m)
+    # the filter compares p only with bounds up to MAX_COLOUR_ENTRY, so
+    # when m has no prime factor that small, m itself stands in for p
+    p = coprimality_witness(m, MAX_COLOUR_ENTRY) or m
 
     def passes(spec: ColourSpec) -> bool:
         bound = max(spec.count(0) - 1, *spec.explicit[1:], spec.tail) \
@@ -526,11 +536,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _DISPATCH[cfg.command](cfg)
-    except CoprimalityError as exc:
+    except ValueError as exc:  # CoprimalityError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # exit 1 means a failed identity, so a crash must not produce it
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -314,18 +314,16 @@ def residues_c(
     """residue_c(n, prob).value for every n in 1..limit, with 0 at index 0.
 
     A query n' = m x - d_0 factors as lead(d_0) * F(x), where F reads the
-    digits of x from position 1 of n up.  F and the tail sum U behind it
-    are tabulated one digit position at a time, top down: with T_p the
-    row at position p less one,
+    digits of x from position 1 of n up.  F is tabulated one digit
+    position at a time, top down, from the tail sums U_p of _tail_sums:
+    with T_p the row at position p less one,
 
-        U_p(x) = 1 + T_p[x % m] * U_{p+1}(x // m),
         F_p(x) = F_{p+1}(x // m)                       if x % m == 0,
-                 eps_p + sign_p * T_p[x % m - 1] * U_{p+1}(x // m)  otherwise,
+                 eps_p + sign_p * T_p[x % m - 1] * U_{p+1}(x // m)  otherwise.
 
-    and U_p(0) = 1 needs no special case because T_p[0] = 0.  Costs
-    O(limit) steps.  The hypothesis is checked once, through the top digit
-    index of the largest rounded-up n, and fails exactly as the first
-    failing residue_c call would.
+    Costs O(limit) steps.  The hypothesis is checked once, through the
+    top digit index of the largest rounded-up n, and fails exactly as the
+    first failing residue_c call would.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -336,19 +334,20 @@ def residues_c(
     top = _max_power_index(m, top_n)
     if enforce_hypothesis:
         _require_hypothesis(prob, top)
-    # U and F at position top + 1, where only x = 0 occurs
-    tail, body = [1], [0]
+    tails = _tail_sums(prob, top_n)
+    # F at position top + 1, where only x = 0 occurs
+    body = [0]
     for p in range(top, 0, -1):
-        size = top_n // m**p + 1
-        row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size))]
+        size = len(tails[p - 1])
+        # T_p[d - 1] for the nonzero digits d that occur
+        row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size) - 1)]
         eps = p % 2
         sign = 1 if eps else -1
-        next_tail, next_body = [], []
-        for u, f in zip(tail, body):
-            next_tail += [(1 + r * u) % m for r in row]
+        next_body = []
+        for u, f in zip(tails[p], body):
             next_body.append(f)
-            next_body += [(eps + sign * r * u) % m for r in row[:-1]]
-        tail, body = next_tail[:size], next_body[:size]
+            next_body += [(eps + sign * r * u) % m for r in row]
+        body = next_body[:size]
     # lead(d_0) for d_0 = m - 1, ..., 1, 0, the order n' ascends within a block
     lead = _digit_row(prob, 0, min(m, limit + 1))
     lead = lead[1:] + lead[:1]
@@ -397,43 +396,27 @@ def expand_c_theorem(
 ) -> ModSeries:
     """Digit-polynomial expansion of the gap-free series over Z_m.
 
-    Computes 1 + L(q) * sum_{i>=0} G_{i+1}(q) * prod_{j=1..i} D_j(q), where
+    Expands 1 + L(q) * sum_{i>=0} G_{i+1}(q) * prod_{j=1..i} D_j(q), where
     L runs over l = 1..m with coefficients C(k_0 - 1 + l, k_0 - 1) at q^l
     (note the shifted range, ending at l = m rather than m - 1),
     G_{i+1} is the geometric series in q^(m^(i+1)), and D_j has coefficient
     C(k_j + l, k_j) - 1 at q^(l m^j) for l = 0..m-1, hence no constant
-    term.  Terms with i past the largest power index under the truncation
-    vanish identically, so the i-sum stops there; the i = 0 term carries
-    the empty product 1.  Coefficientwise equal to expand_c_product under
-    the coprimality hypothesis.
+    term.  The i-sum has coefficient U_1(x) at q^(m x), the tail sum over
+    the digits of m x, so each exponent l + m x with 1 <= l <= m has
+    coefficient C(k_0 - 1 + l, k_0 - 1) * U_1(x), built in O(truncation)
+    steps.  The hypothesis is checked through one index past the largest
+    power index under the truncation.  Coefficientwise equal to
+    expand_c_product under the coprimality hypothesis.
     """
     m = prob.m
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    top = _max_power_index(m, truncation)
     if enforce_hypothesis:
-        _require_hypothesis(prob, top + 1)
-    lead = _mod_poly(m, truncation, ((l, _digit_entry(prob, 0, l)) for l in range(1, m + 1)))
-    total = [0] * (truncation + 1)
-    partial = ModSeries.one(m, truncation)
-    power = 1
-    for index in range(top + 1):
-        if index >= 1:
-            row = _digit_row(prob, index, m)
-            partial = series.mul(
-                partial,
-                _mod_poly(m, truncation, ((l * power, v - 1) for l, v in enumerate(row))),
-            )
-        term = series.mul(
-            series.geometric_inverse_mod(power * m, m, truncation), partial
-        )
-        for e, c in enumerate(term.coeffs):
-            total[e] += c
-        power *= m
-    body = series.mul(lead, ModSeries(m, truncation, [c % m for c in total]))
-    coeffs = list(body.coeffs)
-    coeffs[0] = (coeffs[0] + 1) % m
-    return ModSeries(m, truncation, coeffs)
+        _require_hypothesis(prob, _max_power_index(m, truncation) + 1)
+    lead = [_digit_entry(prob, 0, l) for l in range(1, m + 1)]
+    tail = _tail_sums(prob, truncation)[0]
+    body = [c * u % m for u in tail for c in lead]
+    return ModSeries(m, truncation, [1] + body[:truncation])
 
 
 def _require_hypothesis(prob: PartitionProblem, max_index: int) -> None:
@@ -463,12 +446,26 @@ def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:
     return [_digit_entry(prob, index, d) for d in range(length)]
 
 
-def _mod_poly(modulus: int, truncation: int, terms) -> ModSeries:
-    coeffs = [0] * (truncation + 1)
-    for exponent, value in terms:
-        if exponent <= truncation:
-            coeffs[exponent] = value % modulus
-    return ModSeries(modulus, truncation, coeffs)
+def _tail_sums(prob: PartitionProblem, top_n: int) -> list[list[int]]:
+    """The gap-free tail sums U_1, ..., U_{top+1}, top the power index of top_n.
+
+    Entry p - 1 is U_p over x in 0..top_n // m^p: the sum over i >= p - 1
+    of prod_{j=p..i} T_j[d_j], with d_j the digits of x m^p and T_j the
+    digit row at position j less one.  Tabulated top down by
+
+        U_p(x) = 1 + T_p[x % m] * U_{p+1}(x // m),
+
+    from U_{top+1} = [1]; U_p(0) = 1 needs no special case because
+    T_p[0] = 0.
+    """
+    m = prob.m
+    tails = [[1]]
+    for p in range(_max_power_index(m, top_n), 0, -1):
+        size = top_n // m**p + 1
+        row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size))]
+        tails.append([(1 + r * u) % m for u in tails[-1] for r in row][:size])
+    tails.reverse()
+    return tails
 
 
 def _max_power_index(m: int, limit: int) -> int:

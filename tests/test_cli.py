@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from mary.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     GRID_MODULI,
+    MAX_TERMS,
     MISMATCH_RECORD_LIMIT,
     JobConfig,
     _verify_cell,
@@ -267,6 +269,83 @@ class TestGrid:
         uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
         assert len(uncapped) == report.mismatched > MISMATCH_RECORD_LIMIT
         assert report.mismatches == uncapped[:MISMATCH_RECORD_LIMIT]
+
+
+class TestGoldenOutput:
+    """Byte-exact stdout of the table commands, pinned by sha256."""
+
+    COMMANDS = {
+        "count": ("count", "--m", "5", "--k", "2,3;1", "--variant", "c", "--range", "0..150"),
+        "expand": ("expand", "--m", "3", "--k", "2,1", "--variant", "c", "--N", "81"),
+        # empty cells, skipped points and an empty trailing note column
+        "residue": ("residue", "--m", "6", "--k", "1,1,2", "--variant", "c", "--range", "0..40"),
+    }
+
+    @pytest.mark.parametrize("command, fmt, digest", [
+        ("count", "text", "7252a9bb16a10fd4770aa842b59c5fdfa05f1278542dce2b459e8d22379567b9"),
+        ("count", "json", "92150334efb6b894b45151cdbb2e799b5d8c67fed0910386281b56337461cc46"),
+        ("count", "csv", "19ce47316a8422d6194490fbacfc3564ccbb417b1e8071ee577ccff06ab5ee5f"),
+        ("expand", "text", "e27ae61c352a675a60aa84e62c9719cecdc264fca28f70d851b6f91d8e6df8d8"),
+        ("expand", "json", "10787eeeea2442277d4ea8f485a7cb0f3f0f337c002c33ffa6ebd344b83d544b"),
+        ("expand", "csv", "80d2828048fde0be26169fe6686090e759041ce77ba26fc58627945f7170f226"),
+        ("residue", "text", "bdca18929c918add40aec5f408d56693c7f081ae945ef1aa6fa5177b53a7973d"),
+        ("residue", "json", "d2ae6abdf2529413c8fc32b2f0eb34ec3d6cbbed21af2df71212cf2a5c916776"),
+        ("residue", "csv", "22e225ad0789b837a4c1eba8d413cb683382ae8a7fb76c6c9ebe5e4166306c44"),
+    ])
+    def test_stdout_is_pinned(self, capsys, command, fmt, digest):
+        code, out, _ = run(capsys, *self.COMMANDS[command], "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_text_lines_carry_no_trailing_blanks(self, capsys):
+        _, out, _ = run(capsys, *self.COMMANDS["residue"])
+        lines = out.splitlines()
+        assert lines[0] == "n   digits  residue  note"
+        assert lines[1] == "0                    undefined for n = 0"
+        assert lines[31] == "30  0,5     5"
+        assert all(line == line.rstrip() for line in lines)
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--m", "1000", "--k", "1"),
+        ("expand", "--m", "3", "--k", "1", "--N", str(MAX_TERMS)),
+        ("verify", "--m", "1000000000000000003"),
+        ("verify", "--N", str(MAX_TERMS)),
+        ("count", "--m", "2", "--k", "1", "--variant", "b", "--n", "100000000"),
+        ("residue", "--m", "3", "--k", "1", "--variant", "b", "--range", f"0..{MAX_TERMS}"),
+    ])
+    def test_oversized_requests_exit_2_at_once(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 2
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "limit" in err
+
+    def test_single_huge_n_is_not_a_size(self, capsys):
+        code, out, _ = run(capsys, "residue", "--m", "3", "--k", "1", "--variant", "b",
+                           "--n", str(10**100), "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)[0]["n"] == 10**100
+
+    def test_grid_for_a_huge_prime_base_builds_at_once(self):
+        started = time.perf_counter()
+        prime = 1000000000000000003
+        specs = grid_colour_specs(prime, 10)
+        assert time.perf_counter() - started < 2
+        assert len(specs) == 10
+        assert all(check_hypothesis(cli.PartitionProblem(prime, s), 10) for s in specs)
+
+    def test_unexpected_error_exits_2(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(cli, "expand_b_product", boom)
+        code, out, err = run(capsys, "expand", "--m", "3", "--k", "1", "--N", "9")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: unexpected MemoryError: no room\n"
 
 
 class TestConfigErrors:

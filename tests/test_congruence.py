@@ -348,6 +348,48 @@ def mul_chain_b_theorem(prob, truncation):
     return acc
 
 
+def mul_chain_c_theorem(prob, truncation, *, enforce_hypothesis=True):
+    """expand_c_theorem as 1 + L * sum_i G_{i+1} * prod_{j<=i} D_j, multiplied out by series.mul."""
+    m = prob.m
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    top = 0
+    while m ** (top + 1) <= truncation:
+        top += 1
+    if enforce_hypothesis:
+        result = check_hypothesis(prob, top + 1)
+        if not result:
+            raise CoprimalityError("hypothesis fails", prime=result.prime, modulus=m,
+                                   index=result.index)
+
+    def poly(terms):
+        coeffs = [0] * (truncation + 1)
+        for exponent, value in terms:
+            if exponent <= truncation:
+                coeffs[exponent] = value % m
+        return ModSeries(m, truncation, coeffs)
+
+    def entry(index, digit):
+        k = prob.colours.count(index) - (index == 0)
+        return comb(k + digit, k)
+
+    lead = poly((l, entry(0, l)) for l in range(1, m + 1))
+    total = [0] * (truncation + 1)
+    partial = ModSeries.one(m, truncation)
+    power = 1
+    for index in range(top + 1):
+        if index >= 1:
+            partial = series.mul(partial, poly((l * power, entry(index, l) - 1) for l in range(m)))
+        term = series.mul(series.geometric_inverse_mod(power * m, m, truncation), partial)
+        for e, c in enumerate(term.coeffs):
+            total[e] += c
+        power *= m
+    body = series.mul(lead, ModSeries(m, truncation, [c % m for c in total]))
+    coeffs = list(body.coeffs)
+    coeffs[0] = (coeffs[0] + 1) % m
+    return ModSeries(m, truncation, coeffs)
+
+
 class TestBatchResidues:
     @pytest.mark.parametrize("failing", [False, True])
     def test_match_point_formulas_on_grid(self, failing):
@@ -411,3 +453,32 @@ class TestBatchResidues:
     def test_b_theorem_equals_mul_chain(self, m, spec, degree):
         prob = problem(m, spec)
         assert expand_b_theorem(prob, degree) == mul_chain_b_theorem(prob, degree)
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_c_theorem_equals_mul_chain_on_grid(self, failing):
+        for prob in default_grid(failing=failing):
+            m = prob.m
+            for degree in sorted({0, 1, 2, m - 1, m, m + 1, m**2, m**3 + 5, m**4}):
+                sweep = expand_c_theorem(prob, degree, enforce_hypothesis=not failing)
+                assert sweep == mul_chain_c_theorem(
+                    prob, degree, enforce_hypothesis=not failing), (prob, degree)
+
+    @pytest.mark.parametrize("m, spec, degree", [
+        (2, "3", 0), (2, "3", 8), (2, "1,3", 1), (2, "1,3", 3), (3, "1,2,3;1", 8),
+        (3, "1,2,3;1", 9), (9, "1,1,1,3;1", 800), (5, "6,1", 4), (3, "2,1", -1),
+    ])
+    def test_c_theorem_errors_match_mul_chain(self, m, spec, degree):
+        prob = problem(m, spec)
+        try:
+            mul_chain_c_theorem(prob, degree)
+        except (CoprimalityError, ValueError) as exc:
+            expected = exc
+        else:
+            expected = None
+        if expected is None:
+            assert expand_c_theorem(prob, degree) == mul_chain_c_theorem(prob, degree)
+            return
+        with pytest.raises(type(expected)) as info:
+            expand_c_theorem(prob, degree)
+        assert getattr(info.value, "prime", None) == getattr(expected, "prime", None)
+        assert getattr(info.value, "index", None) == getattr(expected, "index", None)

@@ -1,0 +1,84 @@
+"""Property tests: the batch sweeps, the point formula at huge n, the gap-free
+expansion and the binomial lift."""
+
+from math import comb
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mary import (
+    ColourSpec,
+    PartitionProblem,
+    binom_lift,
+    coprimality_witness,
+    expand_c_product,
+    expand_c_theorem,
+    residue_b,
+    residue_c,
+    residues_b,
+    residues_c,
+    smallest_prime_factor,
+)
+
+SETTINGS = settings(max_examples=80, deadline=None)
+
+colour_specs = st.builds(
+    ColourSpec,
+    st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+    st.integers(1, 6),
+)
+
+
+@SETTINGS
+@given(m=st.sampled_from([15, 25, 27, 35, 45, 49]), spec=colour_specs,
+       limit=st.integers(0, 400))
+def test_sweeps_equal_point_formulas_on_composite_moduli(m, spec, limit):
+    prob = PartitionProblem(m, spec)
+    b = [residue_b(n, prob, enforce_hypothesis=False).value for n in range(limit + 1)]
+    c = [0] + [residue_c(n, prob, enforce_hypothesis=False).value
+               for n in range(1, limit + 1)]
+    assert residues_b(prob, limit, enforce_hypothesis=False) == b
+    assert residues_c(prob, limit, enforce_hypothesis=False) == c
+
+
+@SETTINGS
+@given(m=st.integers(2, 49), spec=colour_specs, r=st.integers(0, 48),
+       x=st.integers(10**900, 10**1000))
+def test_unrestricted_formula_peels_the_lowest_digit_at_huge_n(m, spec, r, x):
+    # residue_b(m x + r) is the index-0 entry at r times the product over
+    # the digits of x, which is residue_b(x) for the spec shifted down one
+    # position (k'_0 - 1 = k_1, k'_j = k_{j+1})
+    r %= m
+    prob = PartitionProblem(m, spec)
+    shifted = PartitionProblem(
+        m, ColourSpec((spec.count(1) + 1,) + spec.explicit[2:], spec.tail))
+    lead = comb(spec.count(0) - 1 + r, r) % m
+    expected = lead * residue_b(x, shifted, enforce_hypothesis=False).value % m
+    assert residue_b(m * x + r, prob, enforce_hypothesis=False).value == expected
+
+
+@st.composite
+def admissible_problems(draw):
+    """A base and a colour spec whose entries all lie below its smallest prime."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 25]))
+    p = smallest_prime_factor(m)
+    explicit = [draw(st.integers(1, p))]
+    explicit += draw(st.lists(st.integers(1, p - 1), max_size=3))
+    return PartitionProblem(m, ColourSpec(tuple(explicit), draw(st.integers(1, p - 1))))
+
+
+@SETTINGS
+@given(prob=admissible_problems(), degree=st.integers(0, 600))
+def test_gapfree_theorem_equals_product_on_admissible_specs(prob, degree):
+    assert expand_c_theorem(prob, degree) == expand_c_product(prob, degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulus=st.integers(2, 60), bottom=st.integers(0, 8),
+       top=st.integers(-30, 30), steps=st.integers(0, 6))
+def test_binom_lift_is_independent_of_lift_steps(modulus, bottom, top, steps):
+    assume(coprimality_witness(modulus, bottom) is None)
+    # steps past the least number of modulus steps that reaches bottom
+    least = max(0, -(-(bottom - top) // modulus))
+    lifted = top + (least + steps) * modulus
+    assert comb(lifted, bottom) % modulus == binom_lift(top, bottom, modulus).value
