@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import random
 import sys
 import time
@@ -60,7 +61,6 @@ GRID_MODULI = (2, 3, 5, 7, 9)
 GRID_QUOTAS = {2: 2, 3: 14, 5: 14, 7: 14, 9: 10}
 RESIDUE_SWEEP_LIMIT = 2000
 MAX_COLOUR_ENTRY = 6
-CHECK_KINDS = ("corollary-b", "corollary-c", "theorem-b", "theorem-c")
 MISMATCH_RECORD_LIMIT = 100
 # Most series terms or records one command may ask for; anything larger is
 # a configuration error rather than an unbounded run.
@@ -384,41 +384,62 @@ def default_grid(moduli=GRID_MODULI, *, failing: bool = False) -> list[Partition
     return points
 
 
+# check kind -> (oracle, formula, first n compared).  Oracles take the
+# point and the residue sweep limit; formulas also take whether to enforce
+# the hypothesis.  The lambdas look their callees up when called, so a
+# module-level name replaced at run time (by a tracer, say) is the one used.
+CHECKS = {
+    "corollary-b": (
+        lambda prob, limit: [c % prob.m for c in count_b_series(prob, limit).coeffs],
+        lambda prob, limit, enforce: residues_b(prob, limit, enforce_hypothesis=enforce),
+        0,
+    ),
+    "corollary-c": (
+        lambda prob, limit: [c % prob.m for c in count_c_series(prob, limit).coeffs],
+        lambda prob, limit, enforce: residues_c(prob, limit, enforce_hypothesis=enforce),
+        1,  # the gap-free formula covers n >= 1 only
+    ),
+    "theorem-b": (
+        lambda prob, limit: expand_b_product(prob, prob.m ** 4).coeffs,
+        lambda prob, limit, enforce: expand_b_theorem(
+            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
+        0,
+    ),
+    "theorem-c": (
+        lambda prob, limit: expand_c_product(prob, prob.m ** 4).coeffs,
+        lambda prob, limit, enforce: expand_c_theorem(
+            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
+        0,
+    ),
+}
+CHECK_KINDS = tuple(CHECKS)
+
+
 def _verify_cell(task: tuple) -> tuple:
     """Run one (grid point, check kind) cell.  Must stay picklable.
 
-    Only the first MISMATCH_RECORD_LIMIT mismatches become records: n
-    ascends within a cell, so these are the cell's only candidates for
-    the report's sorted top MISMATCH_RECORD_LIMIT.
+    Matches are counted in one pass; the cell is walked for mismatch
+    records only when some n failed.  Only the first MISMATCH_RECORD_LIMIT
+    mismatches become records: n ascends within a cell, so these are the
+    cell's only candidates for the report's sorted top MISMATCH_RECORD_LIMIT.
     """
     kind, m, explicit, tail, residue_limit, probe = task
     prob = PartitionProblem(m, ColourSpec(explicit, tail))
-    enforce = not probe
-    # the gap-free formula covers n >= 1 only
-    start = 1 if kind == "corollary-c" else 0
-    if kind == "corollary-b":
-        oracle = [c % m for c in count_b_series(prob, residue_limit).coeffs]
-        formula = residues_b(prob, residue_limit, enforce_hypothesis=enforce)
-    elif kind == "corollary-c":
-        oracle = [c % m for c in count_c_series(prob, residue_limit).coeffs]
-        formula = residues_c(prob, residue_limit, enforce_hypothesis=enforce)
-    elif kind == "theorem-b":
-        oracle = expand_b_product(prob, m ** 4).coeffs
-        formula = expand_b_theorem(prob, m ** 4, enforce_hypothesis=enforce).coeffs
-    else:
-        oracle = expand_c_product(prob, m ** 4).coeffs
-        formula = expand_c_theorem(prob, m ** 4, enforce_hypothesis=enforce).coeffs
-
-    spec_text = str(prob.colours)
-    matched = 0
+    oracle_of, formula_of, start = CHECKS[kind]
+    oracle = oracle_of(prob, residue_limit)
+    formula = formula_of(prob, residue_limit, not probe)
+    checked = len(oracle) - start
+    matched = sum(map(operator.eq, oracle[start:], formula[start:]))
     mismatches = []
-    for n in range(start, len(oracle)):
-        if oracle[n] == formula[n]:
-            matched += 1
-        elif len(mismatches) < MISMATCH_RECORD_LIMIT:
-            mismatches.append({"check": kind, "m": m, "k": spec_text, "n": n,
-                               "oracle": oracle[n], "formula": formula[n]})
-    return (len(oracle) - start, matched, mismatches)
+    if matched < checked:
+        spec_text = str(prob.colours)
+        for n in range(start, len(oracle)):
+            if oracle[n] != formula[n]:
+                mismatches.append({"check": kind, "m": m, "k": spec_text, "n": n,
+                                   "oracle": oracle[n], "formula": formula[n]})
+                if len(mismatches) == MISMATCH_RECORD_LIMIT:
+                    break
+    return (checked, matched, mismatches)
 
 
 def run_verification(cfg: JobConfig) -> VerifyReport:

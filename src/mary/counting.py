@@ -7,17 +7,19 @@ partitions whose set of used part sizes is {m^0, ..., m^i} for some i,
 so a larger power never appears without every smaller one.
 
 Two deliberately independent oracles live here.  The series oracle builds
-exact generating functions out of (1 - q^{m^j})^{-k_j} factors; the
-enumeration oracle recurses over powers and counts colour multisets
-directly.  They share no code beyond binomials, so one can check the
-other.
+exact generating functions out of (1 - q^{m^j})^{-k_j} factors, through
+the m-ary functional equation; the enumeration oracle recurses over
+powers and counts colour multisets directly.  They share no code beyond
+binomials, so one can check the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 from .series import ExactSeries
 
@@ -114,45 +116,40 @@ class PartitionProblem:
 def count_b_series(prob: PartitionProblem, truncation: int) -> ExactSeries:
     """Exact generating series of the unrestricted counts b(0..truncation).
 
-    Equals the product over all j with m^j <= truncation of the factors
-    (1 - q^{m^j})^{-k_j}; factors for larger j only touch exponents above
-    the truncation.  Each factor is folded in as k_j cumulative passes,
-    one per application of (1 - q^{m^j})^{-1}.
+    The series is the product over j >= 0 of (1 - q^{m^j})^{-k_j}.  Writing
+    B_j for the product over the powers from m^j up, taken with q^{m^j}
+    renamed q, it obeys the m-ary functional equation
+
+        B_j(q) = (1 - q)^{-k_j} * B_{j+1}(q^m),
+
+    so B_{j+1} is only needed up to truncation // m.  Its coefficients are
+    spread onto every m-th slot and multiplied by (1 - q)^{-k_j} as k_j
+    prefix-sum passes, which costs about (k_0 + k_1/m + k_2/m^2 + ...)
+    * truncation big-integer additions in all.
     """
-    coeffs = _series_start(truncation)
-    power, index = 1, 0
-    while power <= truncation:
-        _fold_in_inverse_factor(coeffs, power, prob.colours.count(index))
-        power *= prob.m
-        index += 1
-    return ExactSeries(truncation, coeffs)
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    return ExactSeries(truncation, _b_coeffs(prob, truncation, 0))
 
 
 def count_c_series(prob: PartitionProblem, truncation: int) -> ExactSeries:
     """Exact generating series of the gap-free counts c(0..truncation).
 
-    Sum over i >= 0 of the products prod_{j=0..i} ((1 - q^{m^j})^{-k_j} - 1),
-    where term i collects the partitions whose used part sizes are exactly
-    {m^0, ..., m^i}.  Term i starts at exponent 1 + m + ... + m^i, so the
-    sum stops once that minimal exponent clears the truncation.  The
-    constant term is zero: the empty partition is not counted, c(0) = 0.
+    The series is the sum over i >= 0 of the products
+    prod_{j=0..i} ((1 - q^{m^j})^{-k_j} - 1), where term i collects the partitions whose used part sizes are exactly
+    {m^0, ..., m^i}.  Writing C_j for the same sum over the powers from m^j
+    up, taken with q^{m^j} renamed q, the terms factor as
+
+        C_j(q) = ((1 - q)^{-k_j} - 1) * (1 + C_{j+1}(q^m)),
+
+    evaluated like count_b_series: spread C_{j+1} onto every m-th slot, add
+    the 1, apply k_j prefix-sum passes and subtract the factor's input
+    again.  The constant term is zero: the empty partition is not counted,
+    c(0) = 0.
     """
-    total = [0] * (truncation + 1)
-    partial = _series_start(truncation)
-    power, index, minimal_exponent = 1, 0, 0
-    while True:
-        minimal_exponent += power
-        if minimal_exponent > truncation:
-            break
-        # partial *= ((1 - q^power)^{-k} - 1), via partial * factor - partial
-        grown = partial.copy()
-        _fold_in_inverse_factor(grown, power, prob.colours.count(index))
-        partial = [g - p for g, p in zip(grown, partial)]
-        for e, c in enumerate(partial):
-            total[e] += c
-        power *= prob.m
-        index += 1
-    return ExactSeries(truncation, total)
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    return ExactSeries(truncation, _c_coeffs(prob, truncation, 0))
 
 
 def count_b_enum(prob: PartitionProblem, n: int, cap: int = ENUMERATION_CAP) -> int:
@@ -216,24 +213,28 @@ def count_c_enum(prob: PartitionProblem, n: int, cap: int = ENUMERATION_CAP) -> 
     return total
 
 
-def _series_start(truncation: int) -> list[int]:
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+def _b_coeffs(prob: PartitionProblem, truncation: int, index: int) -> list[int]:
+    """Coefficients 0..truncation of B_index (see count_b_series)."""
+    if truncation == 0:
+        return [1]
     coeffs = [0] * (truncation + 1)
-    coeffs[0] = 1
+    coeffs[:: prob.m] = _b_coeffs(prob, truncation // prob.m, index + 1)
+    for _ in range(prob.colours.count(index)):
+        coeffs = list(accumulate(coeffs))
     return coeffs
 
 
-def _fold_in_inverse_factor(coeffs: list[int], period: int, count: int) -> None:
-    """Multiply the coefficient list in place by (1 - q^period)^(-count).
-
-    Each ascending pass applies one inverse factor: after it,
-    new[i] = old[i] + new[i - period], which is exactly division by
-    (1 - q^period).
-    """
-    for _ in range(count):
-        for i in range(period, len(coeffs)):
-            coeffs[i] += coeffs[i - period]
+def _c_coeffs(prob: PartitionProblem, truncation: int, index: int) -> list[int]:
+    """Coefficients 0..truncation of C_index (see count_c_series)."""
+    if truncation == 0:
+        return [0]
+    shifted = [0] * (truncation + 1)
+    shifted[:: prob.m] = _c_coeffs(prob, truncation // prob.m, index + 1)
+    shifted[0] = 1  # the 1 of 1 + C_{index+1}, whose own constant term is 0
+    coeffs = shifted
+    for _ in range(prob.colours.count(index)):
+        coeffs = list(accumulate(coeffs))
+    return list(map(sub, coeffs, shifted))
 
 
 def _powers_up_to(m: int, n: int) -> list[int]:

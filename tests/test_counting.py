@@ -14,10 +14,48 @@ from mary import (
     mul,
     neg_pow_series_exact,
 )
+from mary.cli import default_grid
 
 
 def problem(m, text):
     return PartitionProblem(m, ColourSpec.parse(text))
+
+
+def fold_inverse_factor(coeffs, period, count):
+    """Multiply coeffs in place by (1 - q^period)^(-count), one ascending pass per factor."""
+    for _ in range(count):
+        for i in range(period, len(coeffs)):
+            coeffs[i] += coeffs[i - period]
+
+
+def fold_b_series(prob, truncation):
+    """b(0..truncation) as the product of (1 - q^{m^j})^{-k_j}, folded factor by factor."""
+    coeffs = [1] + [0] * truncation
+    power, index = 1, 0
+    while power <= truncation:
+        fold_inverse_factor(coeffs, power, prob.colours.count(index))
+        power *= prob.m
+        index += 1
+    return tuple(coeffs)
+
+
+def fold_c_series(prob, truncation):
+    """c(0..truncation) as sum_i prod_{j<=i} ((1 - q^{m^j})^{-k_j} - 1), folded factor by factor."""
+    total = [0] * (truncation + 1)
+    partial = [1] + [0] * truncation
+    power, index, minimal_exponent = 1, 0, 0
+    while True:
+        minimal_exponent += power
+        if minimal_exponent > truncation:
+            break
+        grown = partial.copy()
+        fold_inverse_factor(grown, power, prob.colours.count(index))
+        partial = [g - p for g, p in zip(grown, partial)]
+        for e, c in enumerate(partial):
+            total[e] += c
+        power *= prob.m
+        index += 1
+    return tuple(total)
 
 
 class TestColourSpec:
@@ -132,6 +170,8 @@ class TestSeriesOracle:
     def test_negative_truncation_rejected(self):
         with pytest.raises(ValueError):
             count_b_series(problem(2, "1"), -1)
+        with pytest.raises(ValueError):
+            count_c_series(problem(2, "1"), -1)
 
 
 class TestEnumerationOracle:
@@ -205,3 +245,27 @@ class TestOracleAgreement:
                 assert count_b_enum(prob, n) == b[n]
                 if n >= 1:
                     assert count_c_enum(prob, n) == c[n]
+
+
+class TestFunctionalEquation:
+    """The oracles, built through B_j = (1 - q)^{-k_j} B_{j+1}(q^m), against the folds."""
+
+    @staticmethod
+    def assert_equals_fold(prob, degree):
+        assert count_b_series(prob, degree).coeffs == fold_b_series(prob, degree), (prob, degree)
+        assert count_c_series(prob, degree).coeffs == fold_c_series(prob, degree), (prob, degree)
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_equals_fold_on_grid(self, failing):
+        for prob in default_grid(failing=failing):
+            m = prob.m
+            for degree in sorted({0, 1, 2, m - 1, m, m + 1, m**2, m**3 + 5, m**4}):
+                self.assert_equals_fold(prob, degree)
+
+    @pytest.mark.parametrize("m, spec", [
+        (6, "1"), (6, "5,2;3"), (10, "4,1;2"), (12, "2,6,1;3"), (15, "3,3;1"),
+        (25, "1,4;2"), (27, "6,2,5;1"), (45, "2;5"),
+    ])
+    def test_equals_fold_on_composite_moduli(self, m, spec):
+        for degree in sorted({0, 1, 2, m - 1, m, m + 1, m**2, m**2 + 7, 3000}):
+            self.assert_equals_fold(problem(m, spec), degree)

@@ -1,5 +1,5 @@
-"""Property tests: the batch sweeps, the point formula at huge n, the gap-free
-expansion and the binomial lift."""
+"""Property tests: the series oracles, the batch sweeps, the point formulas at
+huge n, the gap-free expansion and the binomial lift."""
 
 from math import comb
 
@@ -11,6 +11,10 @@ from mary import (
     PartitionProblem,
     binom_lift,
     coprimality_witness,
+    count_b_enum,
+    count_b_series,
+    count_c_enum,
+    count_c_series,
     expand_c_product,
     expand_c_theorem,
     residue_b,
@@ -19,6 +23,7 @@ from mary import (
     residues_c,
     smallest_prime_factor,
 )
+from test_counting import fold_b_series, fold_c_series
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -27,6 +32,19 @@ colour_specs = st.builds(
     st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
     st.integers(1, 6),
 )
+
+
+@SETTINGS
+@given(m=st.integers(2, 60), spec=colour_specs, degree=st.integers(0, 500))
+def test_series_oracles_equal_the_folds_and_the_enumeration(m, spec, degree):
+    prob = PartitionProblem(m, spec)
+    b = count_b_series(prob, degree).coeffs
+    c = count_c_series(prob, degree).coeffs
+    assert b == fold_b_series(prob, degree)
+    assert c == fold_c_series(prob, degree)
+    for n in range(min(degree, 60) + 1):
+        assert b[n] == count_b_enum(prob, n)
+        assert n == 0 or c[n] == count_c_enum(prob, n)
 
 
 @SETTINGS
@@ -65,6 +83,20 @@ def admissible_problems(draw):
     explicit = [draw(st.integers(1, p))]
     explicit += draw(st.lists(st.integers(1, p - 1), max_size=3))
     return PartitionProblem(m, ColourSpec(tuple(explicit), draw(st.integers(1, p - 1))))
+
+
+@SETTINGS
+@given(prob=admissible_problems(), d0=st.integers(1, 24),
+       x=st.integers(10**900, 10**1000))
+def test_gapfree_formula_scales_by_the_lead_binomial_at_huge_n(prob, d0, x):
+    # residue_c(m x - d0) is the lifted lead C(k_0 - 1 + m - d0, k_0 - 1)
+    # times the part read from the digits of x, which residue_c(m x) gives
+    # alone (its lead is C(k_0 - 1, k_0 - 1) = 1)
+    m = prob.m
+    d0 = 1 + (d0 - 1) % (m - 1)
+    k0 = prob.colours.count(0)
+    lead = comb(k0 - 1 + m - d0, k0 - 1) % m
+    assert residue_c(m * x - d0, prob).value == lead * residue_c(m * x, prob).value % m
 
 
 @SETTINGS
