@@ -10,23 +10,25 @@ Four subcommands share one executable:
 
 Exit codes: 0 for success or information, 1 for a mathematical mismatch,
 2 for configuration or hypothesis errors, requests past the size limit
-and unexpected errors.  Verification output on stdout is byte-identical
-for a given configuration regardless of worker count; timing goes to
-stderr.
+and unexpected errors, and 141 (128 + SIGPIPE, as the shell reports for
+other tools) with nothing on stderr when the reader closes stdout early,
+as `head` does.  Verification output on stdout is byte-identical for a
+given configuration regardless of worker count; timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import operator
+import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, starmap
 
 from .congruence import (
     decompose_gapfree,
@@ -54,6 +56,7 @@ from .series import CoprimalityError, coprimality_witness
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
+EXIT_BROKEN_PIPE = 141
 
 # Verification grid defaults: moduli to sweep, how many colour specs to
 # sample per modulus (entries capped at 6), and the residue sweep bound.
@@ -65,6 +68,10 @@ MISMATCH_RECORD_LIMIT = 100
 # Most series terms or records one command may ask for; anything larger is
 # a configuration error rather than an unbounded run.
 MAX_TERMS = 1_000_000
+# Lines of a text or CSV table (header included) rendered into one string
+# and written with one call: a pipe then takes a table in a few large
+# writes, and memory holds one block of lines at a time.
+EMIT_BLOCK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -240,23 +247,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(rows: list[tuple], fmt: str, fields: tuple[str, ...]) -> None:
     """Write rows, one value per field, as a JSON list, CSV or an aligned table.
 
-    The text table is streamed line by line; each column is as wide as its
-    widest cell or header, and trailing blanks are stripped.
+    Text and CSV are written EMIT_BLOCK_LINES lines at a time.  In text
+    each column is as wide as its widest cell or header, and trailing
+    blanks are stripped.
     """
     if fmt == "json":
         print(json.dumps([dict(zip(fields, row)) for row in rows], indent=1))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(fields)
-        writer.writerows(rows)
+        return
+    if fmt == "csv":
+        def render(block: list[tuple]) -> str:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(block)
+            return buf.getvalue()
     else:
         # widths come from one column at a time, so the cell strings are
         # never all held at once; !s formats each cell as str() would
-        widths = [max(map(len, map(str, column))) for column in zip(fields, *rows)]
+        widths = [max(map(len, map(str, chain((name,), map(operator.itemgetter(i), rows)))))
+                  for i, name in enumerate(fields)]
         template = "  ".join(f"{{!s:<{w}}}" for w in widths)
-        sys.stdout.writelines(
-            template.format(*cells).rstrip() + "\n" for cells in chain((fields,), rows)
-        )
+
+        def render(block: list[tuple]) -> str:
+            return "\n".join(map(str.rstrip, starmap(template.format, block))) + "\n"
+    table = chain((fields,), rows)
+    while block := list(islice(table, EMIT_BLOCK_LINES)):
+        sys.stdout.write(render(block))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +478,9 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
         for kind in CHECK_KINDS
     ]
     if cfg.jobs > 1 and len(tasks) > 1:
+        # imported here: the pool's modules would add to every other run's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_verify_cell, tasks))
     else:
@@ -556,10 +573,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _DISPATCH[cfg.command](cfg)
+        code = _DISPATCH[cfg.command](cfg)
+        # flushed here, so a reader gone before the last write is caught below
+        sys.stdout.flush()
+        return code
     except ValueError as exc:  # CoprimalityError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader stopped early, as `head` does: neither a configuration
+        # error nor a crash.  stdout goes to devnull so that the flush at
+        # exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         # exit 1 means a failed identity, so a crash must not produce it
         print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,12 +1,19 @@
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
 from mary import cli
 from mary.cli import (
     CHECK_KINDS,
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_OK,
     GRID_MODULI,
@@ -304,6 +311,87 @@ class TestGoldenOutput:
         assert lines[1] == "0                    undefined for n = 0"
         assert lines[31] == "30  0,5     5"
         assert all(line == line.rstrip() for line in lines)
+
+
+def line_by_line_emit(rows, fmt, fields):
+    """_emit before block writes: CSV straight to stdout, text one line per writelines item."""
+    if fmt == "json":
+        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=1))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(fields)
+        writer.writerows(rows)
+    else:
+        widths = [max(map(len, map(str, column))) for column in zip(fields, *rows)]
+        template = "  ".join(f"{{!s:<{w}}}" for w in widths)
+        sys.stdout.writelines(
+            template.format(*cells).rstrip() + "\n" for cells in chain((fields,), rows)
+        )
+
+
+class TestBlockOutput:
+    """Tables cut into blocks equal the line-by-line reference at every block boundary."""
+
+    BLOCK = 7
+
+    @staticmethod
+    def argv(command, lines):
+        # lines counts the header, so the table has lines - 1 rows
+        return {
+            "count": ("count", "--m", "5", "--k", "2,3;1", "--variant", "c",
+                      "--range", f"0..{lines - 2}"),
+            "residue": ("residue", "--m", "6", "--k", "1,1,2", "--variant", "c",
+                        "--range", f"0..{lines - 2}"),
+            "expand": ("expand", "--m", "3", "--k", "2,1", "--variant", "c",
+                       "--N", str(lines - 2)),
+        }[command]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("lines", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+    @pytest.mark.parametrize("command", ["count", "residue", "expand"])
+    def test_blocks_equal_line_by_line(self, capsys, monkeypatch, command, lines, fmt):
+        argv = (*self.argv(command, lines), "--format", fmt)
+        monkeypatch.setattr(cli, "EMIT_BLOCK_LINES", self.BLOCK)
+        writes = []
+        real_write = sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+        blocks = run(capsys, *argv)
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_emit", line_by_line_emit)
+        assert blocks == run(capsys, *argv)
+        assert blocks[1].count("\n") == lines
+        assert len(writes) == -(-lines // self.BLOCK)
+
+
+@pytest.mark.parametrize("last, reads_header", [
+    # megabytes, far more than a pipe holds: the command is mid-table when the reader goes
+    (100000, True),
+    # a few hundred bytes, still buffered when main flushes stdout to a reader long gone
+    (10, False),
+])
+def test_reader_closing_early_exits_141_quietly(last, reads_header):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    # stdout block-buffered, as Python sets it up for a pipe by default
+    env.pop("PYTHONUNBUFFERED", None)
+    read_fd, write_fd = os.pipe()
+    if not reads_header:
+        os.close(read_fd)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mary", "count", "--m", "2", "--k", "2;1", "--variant", "b",
+         "--range", f"0..{last}"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    try:
+        if reads_header:
+            with open(read_fd, "rb") as reader:
+                assert reader.readline().split() == [b"n", b"count", b"mod"]
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 class TestSizeLimits:
