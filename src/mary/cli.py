@@ -28,10 +28,9 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 
 from .congruence import (
-    decompose_gapfree,
     expand_b_product,
     expand_b_theorem,
     expand_c_product,
@@ -261,13 +260,13 @@ def _emit(rows: list[tuple], fmt: str, fields: tuple[str, ...]) -> None:
             return buf.getvalue()
     else:
         # widths come from one column at a time, so the cell strings are
-        # never all held at once; !s formats each cell as str() would
+        # never all held at once; %s formats each cell as str() would
         widths = [max(map(len, map(str, chain((name,), map(operator.itemgetter(i), rows)))))
                   for i, name in enumerate(fields)]
-        template = "  ".join(f"{{!s:<{w}}}" for w in widths)
+        template = "  ".join(f"%-{w}s" for w in widths)
 
         def render(block: list[tuple]) -> str:
-            return "\n".join(map(str.rstrip, starmap(template.format, block))) + "\n"
+            return "\n".join(map(str.rstrip, map(template.__mod__, block))) + "\n"
     table = chain((fields,), rows)
     while block := list(islice(table, EMIT_BLOCK_LINES)):
         sys.stdout.write(render(block))
@@ -309,7 +308,7 @@ def cmd_residue(cfg: JobConfig) -> int:
                 digits = to_digits(n, prob.m).digits
             else:
                 value = residue_c(n, prob).value
-                digits = to_digits(decompose_gapfree(n, prob.m).n, prob.m).digits
+                digits = to_digits(-(-n // prob.m) * prob.m, prob.m).digits
         except CoprimalityError as exc:
             rows.append((n, "", "", f"skipped: {exc}"))
             continue
@@ -354,9 +353,7 @@ def grid_colour_specs(m: int, quota: int, *, failing: bool = False) -> list[Colo
     p = coprimality_witness(m, MAX_COLOUR_ENTRY) or m
 
     def passes(spec: ColourSpec) -> bool:
-        bound = max(spec.count(0) - 1, *spec.explicit[1:], spec.tail) \
-            if len(spec.explicit) > 1 else max(spec.count(0) - 1, spec.tail)
-        return p > bound
+        return p > max(spec.count(0) - 1, *spec.explicit[1:], spec.tail)
 
     singles = []
     longer = []
@@ -524,10 +521,8 @@ def cmd_verify(cfg: JobConfig) -> int:
         }
         print(json.dumps(payload, indent=1))
     elif cfg.fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("check", "m", "k", "n", "oracle", "formula"))
-        for record in report.mismatches:
-            writer.writerow([record[f] for f in ("check", "m", "k", "n", "oracle", "formula")])
+        fields = ("check", "m", "k", "n", "oracle", "formula")
+        _emit(list(map(operator.itemgetter(*fields), report.mismatches)), "csv", fields)
     else:
         moduli_text = ",".join(str(m) for m in report.grid["moduli"])
         print(f"grid moduli={moduli_text} points={report.grid['points']} "

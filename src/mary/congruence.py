@@ -11,6 +11,7 @@ checked coefficient by coefficient against the exact counting oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from . import series
@@ -143,31 +144,31 @@ def to_digits(n: int, base: int) -> Digits:
         raise ValueError(f"n must be nonnegative, got {n}")
     if base < 2:
         raise ValueError("base must be at least 2")
-    if n == 0:
-        return Digits(base, (0,))
+    return Digits(base, _digits(n, base))
+
+
+def _digits(n: int, base: int) -> list[int]:
+    """to_digits(n, base).digits as a list, for n >= 0 and base >= 2 unchecked."""
     digits = []
-    while n:
+    while True:
         n, d = divmod(n, base)
         digits.append(d)
-    return Digits(base, tuple(digits))
+        if not n:
+            return digits
 
 
 def check_hypothesis(prob: PartitionProblem, max_index: int) -> HypothesisCheck:
     """Check gcd(m, (k_0 - 1)!) = 1 and gcd(m, k_j!) = 1 for 1 <= j <= max_index.
 
     Equivalently, every prime factor of m must exceed k_0 - 1 and each k_j
-    through max_index.  Indices beyond the explicit prefix all share the
-    tail colour count, so only the first tail position needs a look.
+    through max_index.  The first index where that fails is found once
+    per problem, so this is one comparison with max_index.
     """
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
-    last_distinct = min(max_index, len(prob.colours.explicit))
-    for index in range(last_distinct + 1):
-        k = prob.colours.count(index)
-        bound = k - 1 if index == 0 else k
-        witness = coprimality_witness(prob.m, bound)
-        if witness is not None:
-            return HypothesisCheck(False, witness, index)
+    failure = _bottoms(prob)[1]
+    if failure is not None and failure[0] <= max_index:
+        return HypothesisCheck(False, failure[1], failure[0])
     return HypothesisCheck(True)
 
 
@@ -208,12 +209,15 @@ def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    digits = to_digits(n, prob.m)
+    digits = _digits(n, prob.m)
     if enforce_hypothesis:
-        _require_hypothesis(prob, digits.top_index)
+        _require_hypothesis(prob, len(digits) - 1)
+    bottoms = _bottoms(prob)[0]
+    last = len(bottoms) - 1
     value = 1
-    for j, d in enumerate(digits.digits):
-        value = value * _digit_entry(prob, j, d) % prob.m
+    for j, d in enumerate(digits):
+        k = bottoms[min(j, last)]
+        value = value * comb(k + d, k) % prob.m
     return Residue(value, prob.m)
 
 
@@ -231,7 +235,7 @@ def residues_b(
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     m = prob.m
-    top = _max_power_index(m, limit)
+    top = to_digits(limit, m).top_index
     if enforce_hypothesis:
         _require_hypothesis(prob, top)
     acc = _digit_row(prob, 0, min(m, limit + 1))
@@ -281,31 +285,29 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
                    * sum_{i=s..t} prod_{j=s+1..i} (C(k_j + d_j, k_j) - 1))
 
     in Z_m, where eps_s is 1 for odd s and 0 for even s.  The leading
-    binomial has its top below its bottom, so it is evaluated through the
-    modulus lift; the inner sum's i = s term is the empty product 1.  The
-    result equals c(n') mod m under the coprimality hypothesis through
-    index t.
+    binomial, lifted through the modulus, is the index-0 digit entry at
+    n' mod m; the rest is F_1, read top digit first by the U_p / F_p
+    recursion that residues_c tabulates.  The result equals c(n') mod m
+    under the coprimality hypothesis through index t.
     """
     if n_prime < 1:
         raise ValueError(f"the gap-free residue formula covers n >= 1, got {n_prime}")
     m = prob.m
-    dec = decompose_gapfree(n_prime, m)
+    digits = _digits(-(-n_prime // m) * m, m)
     if enforce_hypothesis:
-        _require_hypothesis(prob, dec.t)
-    # the lifted C(k_0 - 1 - d_0, k_0 - 1) is C(k_0 - 1 + (m - d_0), k_0 - 1),
-    # one step up for d_0 >= 1 and none for d_0 = 0
-    lead = _digit_entry(prob, 0, -dec.d0 % m)
-    bracket = (_digit_entry(prob, dec.s, dec.digits[0] - 1) - 1) % m
-    tail_sum = 0
-    running = 1
-    for i in range(dec.s, dec.t + 1):
-        if i > dec.s:
-            running = running * (_digit_entry(prob, i, dec.digits[i - dec.s]) - 1) % m
-        tail_sum = (tail_sum + running) % m
-    eps = dec.s % 2
-    sign = 1 if eps else -1
-    value = lead * (eps + sign * bracket * tail_sum) % m
-    return Residue(value, m)
+        _require_hypothesis(prob, len(digits) - 1)
+    bottoms = _bottoms(prob)[0]
+    last = len(bottoms) - 1
+    tail_sum, body = 1, 0
+    for p in range(len(digits) - 1, 0, -1):
+        d = digits[p]
+        k = bottoms[min(p, last)]
+        if d:
+            below = (comb(k + d - 1, k) - 1) * tail_sum
+            body = (1 + below if p % 2 else -below) % m
+        tail_sum = (1 + (comb(k + d, k) - 1) * tail_sum) % m
+    k = bottoms[0]
+    return Residue(comb(k + n_prime % m, k) * body % m, m)
 
 
 def residues_c(
@@ -331,7 +333,7 @@ def residues_c(
         return [0]
     m = prob.m
     top_n = -(-limit // m) * m
-    top = _max_power_index(m, top_n)
+    top = to_digits(top_n, m).top_index
     if enforce_hypothesis:
         _require_hypothesis(prob, top)
     tails = _tail_sums(prob, top_n)
@@ -412,38 +414,49 @@ def expand_c_theorem(
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if enforce_hypothesis:
-        _require_hypothesis(prob, _max_power_index(m, truncation) + 1)
-    lead = [_digit_entry(prob, 0, l) for l in range(1, m + 1)]
+        _require_hypothesis(prob, to_digits(truncation, m).top_index + 1)
+    lead = _digit_row(prob, 0, m + 1)[1:]
     tail = _tail_sums(prob, truncation)[0]
     body = [c * u % m for u in tail for c in lead]
     return ModSeries(m, truncation, [1] + body[:truncation])
 
 
 def _require_hypothesis(prob: PartitionProblem, max_index: int) -> None:
-    result = check_hypothesis(prob, max_index)
-    if not result:
+    failure = _bottoms(prob)[1]
+    if failure is not None and failure[0] <= max_index:
+        index, prime = failure
         raise CoprimalityError(
             f"coprimality hypothesis fails for modulus {prob.m}: "
-            f"prime {result.prime} offends at digit index {result.index}",
-            prime=result.prime,
+            f"prime {prime} offends at digit index {index}",
+            prime=prime,
             modulus=prob.m,
-            index=result.index,
+            index=index,
         )
 
 
-def _digit_entry(prob: PartitionProblem, index: int, digit: int) -> int:
-    """C(k + digit, k) mod m, the factor digit contributes at position index.
+@cache
+def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] | None]:
+    """The binomial bottom of each digit position, and where the hypothesis fails.
 
-    k is the colour count k_index, less one at index 0; that k is also the
-    bound the coprimality hypothesis puts on m's prime factors there.
+    Digit d at position j contributes C(k + d, k) mod m, with k = k_j, less
+    one at j = 0, and the hypothesis asks every prime factor of m to exceed
+    that k.  Returns the bottoms (k_0 - 1, k_1, ..., k_r, tail), the tail
+    serving every later position, and the first failing (index, prime) or None.
     """
-    k = prob.colours.count(index) - (index == 0)
-    return comb(k + digit, k) % prob.m
+    colours = prob.colours
+    bottoms = (colours.explicit[0] - 1, *colours.explicit[1:], colours.tail)
+    for index, k in enumerate(bottoms):
+        witness = coprimality_witness(prob.m, k)
+        if witness is not None:
+            return bottoms, (index, witness)
+    return bottoms, None
 
 
 def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:
     """The digit entries for digits 0..length-1 at one position."""
-    return [_digit_entry(prob, index, d) for d in range(length)]
+    bottoms = _bottoms(prob)[0]
+    k = bottoms[min(index, len(bottoms) - 1)]
+    return [comb(k + d, k) % prob.m for d in range(length)]
 
 
 def _tail_sums(prob: PartitionProblem, top_n: int) -> list[list[int]]:
@@ -460,18 +473,9 @@ def _tail_sums(prob: PartitionProblem, top_n: int) -> list[list[int]]:
     """
     m = prob.m
     tails = [[1]]
-    for p in range(_max_power_index(m, top_n), 0, -1):
+    for p in range(to_digits(top_n, m).top_index, 0, -1):
         size = top_n // m**p + 1
         row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size))]
         tails.append([(1 + r * u) % m for u in tails[-1] for r in row][:size])
     tails.reverse()
     return tails
-
-
-def _max_power_index(m: int, limit: int) -> int:
-    """Largest j with m**j <= limit, or 0 when even m itself exceeds limit."""
-    index, power = 0, m
-    while power <= limit:
-        index += 1
-        power *= m
-    return index

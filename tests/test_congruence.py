@@ -2,11 +2,14 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mary import (
     ColourSpec,
     CoprimalityError,
     Digits,
+    HypothesisCheck,
     ModSeries,
     PartitionProblem,
     binom_lift,
@@ -482,3 +485,105 @@ class TestBatchResidues:
             expand_c_theorem(prob, degree)
         assert getattr(info.value, "prime", None) == getattr(expected, "prime", None)
         assert getattr(info.value, "index", None) == getattr(expected, "index", None)
+
+
+def reference_check_hypothesis(prob, max_index):
+    """check_hypothesis as a loop over the digit indices, one witness search each."""
+    if max_index < 0:
+        raise ValueError("max_index must be nonnegative")
+    for index in range(min(max_index, len(prob.colours.explicit)) + 1):
+        k = prob.colours.count(index)
+        witness = series.coprimality_witness(prob.m, k - 1 if index == 0 else k)
+        if witness is not None:
+            return HypothesisCheck(False, witness, index)
+    return HypothesisCheck(True)
+
+
+def reference_entry(prob, index, digit):
+    """C(k + digit, k) mod m, k the colour count at index, less one at index 0."""
+    k = prob.colours.count(index) - (index == 0)
+    return comb(k + digit, k) % prob.m
+
+
+def reference_require(prob, max_index):
+    result = reference_check_hypothesis(prob, max_index)
+    if not result:
+        raise CoprimalityError("hypothesis fails", prime=result.prime, modulus=prob.m,
+                               index=result.index)
+
+
+def reference_residue_b(n, prob, *, enforce_hypothesis=True):
+    """residue_b(n, prob).value as one digit entry per digit of to_digits(n)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    digits = to_digits(n, prob.m)
+    if enforce_hypothesis:
+        reference_require(prob, digits.top_index)
+    value = 1
+    for j, d in enumerate(digits.digits):
+        value = value * reference_entry(prob, j, d) % prob.m
+    return value
+
+
+def reference_residue_c(n_prime, prob, *, enforce_hypothesis=True):
+    """residue_c(n', prob).value bottom up from decompose_gapfree:
+    lead * (eps_s + sign_s * bracket * tail sum), the tail sum over i = s..t."""
+    if n_prime < 1:
+        raise ValueError("the gap-free residue formula covers n >= 1")
+    m = prob.m
+    dec = decompose_gapfree(n_prime, m)
+    if enforce_hypothesis:
+        reference_require(prob, dec.t)
+    lead = reference_entry(prob, 0, -dec.d0 % m)
+    bracket = (reference_entry(prob, dec.s, dec.digits[0] - 1) - 1) % m
+    tail_sum, running = 0, 1
+    for i in range(dec.s, dec.t + 1):
+        if i > dec.s:
+            running = running * (reference_entry(prob, i, dec.digits[i - dec.s]) - 1) % m
+        tail_sum = (tail_sum + running) % m
+    eps = dec.s % 2
+    sign = 1 if eps else -1
+    return lead * (eps + sign * bracket * tail_sum) % m
+
+
+def outcome(formula, n, prob, enforce):
+    """The residue value, or the error's type, prime and index."""
+    try:
+        value = formula(n, prob, enforce_hypothesis=enforce)
+    except ValueError as exc:  # CoprimalityError included
+        return type(exc), getattr(exc, "prime", None), getattr(exc, "index", None)
+    return getattr(value, "value", value)
+
+
+# explicit prefixes may end in entries equal to the tail, as unnormalized
+# specs do; entries reach 8 so every prime below 8 can offend
+unnormalized_specs = st.builds(
+    lambda explicit, tail, repeats: ColourSpec(explicit + (tail,) * repeats, tail),
+    st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple),
+    st.integers(1, 8),
+    st.integers(0, 2),
+)
+
+
+class TestReferenceForms:
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(2, 60), spec=unnormalized_specs, enforce=st.booleans(),
+           ns=st.lists(st.one_of(st.integers(0, 10**5), st.integers(10**999, 10**1000)),
+                       min_size=1, max_size=4))
+    def test_point_formulas_equal_the_references(self, m, spec, enforce, ns):
+        prob = PartitionProblem(m, spec)
+        for n in ns:
+            assert outcome(residue_b, n, prob, enforce) == \
+                outcome(reference_residue_b, n, prob, enforce), n
+            assert outcome(residue_c, n, prob, enforce) == \
+                outcome(reference_residue_c, n, prob, enforce), n
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(2, 60), spec=unnormalized_specs)
+    def test_check_hypothesis_equals_the_reference_loop(self, m, spec):
+        prob = PartitionProblem(m, spec)
+        for max_index in range(len(spec.explicit) + 4):
+            assert check_hypothesis(prob, max_index) == \
+                reference_check_hypothesis(prob, max_index), max_index
+        with pytest.raises(ValueError):
+            check_hypothesis(prob, -1)
