@@ -27,8 +27,9 @@ import os
 import random
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import repeat
 
 from .congruence import (
     expand_b_product,
@@ -243,33 +244,57 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # record emission
 
-def _emit(rows: list[tuple], fmt: str, fields: tuple[str, ...]) -> None:
-    """Write rows, one value per field, as a JSON list, CSV or an aligned table.
+def _emit(columns: Sequence[Sequence], fmt: str, fields: tuple[str, ...]) -> None:
+    """Write a table, one sequence of cells per field, as a JSON list, CSV or aligned text.
 
-    Text and CSV are written EMIT_BLOCK_LINES lines at a time.  In text
-    each column is as wide as its widest cell or header, and trailing
-    blanks are stripped.
+    Text and CSV are written EMIT_BLOCK_LINES lines at a time, the header
+    being the first line of the first block.  In text every column but the
+    last is as wide as its widest cell or header, the last is not padded,
+    and no line ends in blanks.
     """
     if fmt == "json":
-        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=1))
+        print(json.dumps([dict(zip(fields, row)) for row in zip(*columns)], indent=1))
         return
-    if fmt == "csv":
-        def render(block: list[tuple]) -> str:
+    k = len(fields)
+    if fmt == "text":
+        widths = [max(len(name), _text_width(column)) for name, column in zip(fields, columns[:-1])]
+        line = "  ".join([*(f"%-{w}s" for w in widths), "%s"])
+    rows = len(columns[0])
+    # row -1 is the header
+    for start in range(-1, rows, EMIT_BLOCK_LINES):
+        head = fields if start < 0 else ()
+        lo, hi = max(start, 0), start + EMIT_BLOCK_LINES
+        if fmt == "csv":
             buf = io.StringIO()
-            csv.writer(buf).writerows(block)
-            return buf.getvalue()
-    else:
-        # widths come from one column at a time, so the cell strings are
-        # never all held at once; %s formats each cell as str() would
-        widths = [max(map(len, map(str, chain((name,), map(operator.itemgetter(i), rows)))))
-                  for i, name in enumerate(fields)]
-        template = "  ".join(f"%-{w}s" for w in widths)
+            writer = csv.writer(buf)
+            if head:
+                writer.writerow(head)
+            writer.writerows(zip(*[column[lo:hi] for column in columns]))
+            sys.stdout.write(buf.getvalue())
+            continue
+        # filled column by column: cell i of a row sits at i, i + k, ...
+        cells = [*head, *repeat(None, (min(hi, rows) - lo) * k)]
+        for i, column in enumerate(columns, len(head)):
+            cells[i::k] = column[lo:hi]
+        text = "\n".join(repeat(line, len(cells) // k)) % tuple(cells) + "\n"
+        if " \n" in text:
+            # only an empty last cell leaves blanks at the end of a line
+            text = "\n".join(map(str.rstrip, text.split("\n")))
+        sys.stdout.write(text)
 
-        def render(block: list[tuple]) -> str:
-            return "\n".join(map(str.rstrip, map(template.__mod__, block))) + "\n"
-    table = chain((fields,), rows)
-    while block := list(islice(table, EMIT_BLOCK_LINES)):
-        sys.stdout.write(render(block))
+
+def _text_width(column: Sequence) -> int:
+    """The length of the widest str() of a column's cells, in C-level passes."""
+    if not column:
+        return 0
+    if isinstance(column, range):
+        # a range's widest number is at one of its ends
+        return max(len(str(column[0])), len(str(column[-1])))
+    if all(map(isinstance, column, repeat(str))):
+        return max(map(len, column))
+    # one str() per distinct value; set() would fold True into 1, so no
+    # table mixes bools with other ints in one column
+    return max(map(len, map(str, set(column))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +311,8 @@ def cmd_count(cfg: JobConfig) -> int:
     else:
         build = count_b_series if cfg.variant == "b" else count_c_series
         values = build(prob, hi).coeffs[lo:]
-    rows = [(n, str(value), value % prob.m) for n, value in enumerate(values, lo)]
-    _emit(rows, cfg.fmt, ("n", "count", "mod"))
+    _emit([range(lo, hi + 1), list(map(str, values)), [value % prob.m for value in values]],
+          cfg.fmt, ("n", "count", "mod"))
     return EXIT_OK
 
 
@@ -297,23 +322,26 @@ def cmd_count(cfg: JobConfig) -> int:
 def cmd_residue(cfg: JobConfig) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     lo, hi = cfg.span
-    rows = []
+    digit_cells, residues, notes = [], [], []
     for n in range(lo, hi + 1):
+        digits, value, note = "", "", ""
         if cfg.variant == "c" and n == 0:
-            rows.append((n, "", "", "undefined for n = 0"))
-            continue
-        try:
-            if cfg.variant == "b":
-                value = residue_b(n, prob).value
-                digits = to_digits(n, prob.m).digits
-            else:
-                value = residue_c(n, prob).value
-                digits = to_digits(-(-n // prob.m) * prob.m, prob.m).digits
-        except CoprimalityError as exc:
-            rows.append((n, "", "", f"skipped: {exc}"))
-            continue
-        rows.append((n, ",".join(map(str, digits)), value, ""))
-    _emit(rows, cfg.fmt, ("n", "digits", "residue", "note"))
+            note = "undefined for n = 0"
+        else:
+            try:
+                if cfg.variant == "b":
+                    value = residue_b(n, prob).value
+                    digits = ",".join(map(str, to_digits(n, prob.m).digits))
+                else:
+                    value = residue_c(n, prob).value
+                    digits = ",".join(map(str, to_digits(-(-n // prob.m) * prob.m, prob.m).digits))
+            except CoprimalityError as exc:
+                note = f"skipped: {exc}"
+        digit_cells.append(digits)
+        residues.append(value)
+        notes.append(note)
+    _emit([range(lo, hi + 1), digit_cells, residues, notes], cfg.fmt,
+          ("n", "digits", "residue", "note"))
     return EXIT_OK
 
 
@@ -328,11 +356,9 @@ def cmd_expand(cfg: JobConfig) -> int:
     else:
         lhs = expand_c_product(prob, cfg.truncation)
         rhs = expand_c_theorem(prob, cfg.truncation)
-    rows = [
-        (e, left, right, left == right)
-        for e, (left, right) in enumerate(zip(lhs.coeffs, rhs.coeffs))
-    ]
-    _emit(rows, cfg.fmt, ("exponent", "lhs", "rhs", "match"))
+    _emit([range(cfg.truncation + 1), lhs.coeffs, rhs.coeffs,
+           list(map(operator.eq, lhs.coeffs, rhs.coeffs))],
+          cfg.fmt, ("exponent", "lhs", "rhs", "match"))
     return EXIT_OK if lhs.coeffs == rhs.coeffs else EXIT_MISMATCH
 
 
@@ -522,7 +548,7 @@ def cmd_verify(cfg: JobConfig) -> int:
         print(json.dumps(payload, indent=1))
     elif cfg.fmt == "csv":
         fields = ("check", "m", "k", "n", "oracle", "formula")
-        _emit(list(map(operator.itemgetter(*fields), report.mismatches)), "csv", fields)
+        _emit([[record[name] for record in report.mismatches] for name in fields], "csv", fields)
     else:
         moduli_text = ",".join(str(m) for m in report.grid["moduli"])
         print(f"grid moduli={moduli_text} points={report.grid['points']} "
@@ -531,10 +557,11 @@ def cmd_verify(cfg: JobConfig) -> int:
         print(f"checked={report.checked} matched={report.matched} "
               f"mismatched={report.mismatched} "
               f"skipped_hypothesis={report.skipped_hypothesis}")
-        for record in report.mismatches:
-            print(f"mismatch check={record['check']} m={record['m']} "
-                  f"k={record['k']} n={record['n']} "
-                  f"oracle={record['oracle']} formula={record['formula']}")
+        sys.stdout.write("".join(
+            f"mismatch check={record['check']} m={record['m']} "
+            f"k={record['k']} n={record['n']} "
+            f"oracle={record['oracle']} formula={record['formula']}\n"
+            for record in report.mismatches))
         if cfg.probe:
             print("result: PROBE")
         else:

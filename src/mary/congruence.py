@@ -210,9 +210,9 @@ def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     digits = _digits(n, prob.m)
+    bottoms, failure = _bottoms(prob)
     if enforce_hypothesis:
-        _require_hypothesis(prob, len(digits) - 1)
-    bottoms = _bottoms(prob)[0]
+        _require_hypothesis(prob.m, failure, len(digits) - 1)
     last = len(bottoms) - 1
     value = 1
     for j, d in enumerate(digits):
@@ -237,7 +237,7 @@ def residues_b(
     m = prob.m
     top = to_digits(limit, m).top_index
     if enforce_hypothesis:
-        _require_hypothesis(prob, top)
+        _require_hypothesis(m, _bottoms(prob)[1], top)
     acc = _digit_row(prob, 0, min(m, limit + 1))
     power = m
     for j in range(1, top + 1):
@@ -294,9 +294,9 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
         raise ValueError(f"the gap-free residue formula covers n >= 1, got {n_prime}")
     m = prob.m
     digits = _digits(-(-n_prime // m) * m, m)
+    bottoms, failure = _bottoms(prob)
     if enforce_hypothesis:
-        _require_hypothesis(prob, len(digits) - 1)
-    bottoms = _bottoms(prob)[0]
+        _require_hypothesis(m, failure, len(digits) - 1)
     last = len(bottoms) - 1
     tail_sum, body = 1, 0
     for p in range(len(digits) - 1, 0, -1):
@@ -335,7 +335,7 @@ def residues_c(
     top_n = -(-limit // m) * m
     top = to_digits(top_n, m).top_index
     if enforce_hypothesis:
-        _require_hypothesis(prob, top)
+        _require_hypothesis(m, _bottoms(prob)[1], top)
     tails = _tail_sums(prob, top_n)
     # F at position top + 1, where only x = 0 occurs
     body = [0]
@@ -414,22 +414,22 @@ def expand_c_theorem(
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if enforce_hypothesis:
-        _require_hypothesis(prob, to_digits(truncation, m).top_index + 1)
+        _require_hypothesis(m, _bottoms(prob)[1], to_digits(truncation, m).top_index + 1)
     lead = _digit_row(prob, 0, m + 1)[1:]
     tail = _tail_sums(prob, truncation)[0]
     body = [c * u % m for u in tail for c in lead]
     return ModSeries(m, truncation, [1] + body[:truncation])
 
 
-def _require_hypothesis(prob: PartitionProblem, max_index: int) -> None:
-    failure = _bottoms(prob)[1]
+def _require_hypothesis(m: int, failure: tuple[int, int] | None, max_index: int) -> None:
+    """Raise CoprimalityError if failure, the (index, prime) of _bottoms, is within max_index."""
     if failure is not None and failure[0] <= max_index:
         index, prime = failure
         raise CoprimalityError(
-            f"coprimality hypothesis fails for modulus {prob.m}: "
+            f"coprimality hypothesis fails for modulus {m}: "
             f"prime {prime} offends at digit index {index}",
             prime=prime,
-            modulus=prob.m,
+            modulus=m,
             index=index,
         )
 

@@ -118,15 +118,19 @@ def test_gapfree_residues_match_oracle():
     grid = default_grid()
     assert len(grid) >= 50
     compared = 0
-    seen_s = set()
-    seen_d0 = set()
-    seen_empty_tail_sum = False
     for prob in grid:
         coeffs = count_c_series(prob, RESIDUE_LIMIT).coeffs
         for n in range(1, RESIDUE_LIMIT + 1):
             assert residue_c(n, prob).value == coeffs[n] % prob.m, (prob, n)
             compared += 1
-            dec = decompose_gapfree(n, prob.m)
+    # the decomposition depends on n and m alone: one pass per modulus
+    # covers every compared (point, n) pair
+    seen_s = set()
+    seen_d0 = set()
+    seen_empty_tail_sum = False
+    for m in sorted({prob.m for prob in grid}):
+        for n in range(1, RESIDUE_LIMIT + 1):
+            dec = decompose_gapfree(n, m)
             seen_s.add(dec.s)
             seen_d0.add(dec.d0 > 0)
             seen_empty_tail_sum = seen_empty_tail_sum or dec.s == dec.t

@@ -313,8 +313,9 @@ class TestGoldenOutput:
         assert all(line == line.rstrip() for line in lines)
 
 
-def line_by_line_emit(rows, fmt, fields):
+def line_by_line_emit(columns, fmt, fields):
     """_emit before block writes: CSV straight to stdout, text one line per writelines item."""
+    rows = list(zip(*columns))
     if fmt == "json":
         print(json.dumps([dict(zip(fields, row)) for row in rows], indent=1))
     elif fmt == "csv":
@@ -361,6 +362,90 @@ class TestBlockOutput:
         assert blocks == run(capsys, *argv)
         assert blocks[1].count("\n") == lines
         assert len(writes) == -(-lines // self.BLOCK)
+
+    @pytest.mark.parametrize("argv", [
+        # ranges not starting at 0; count's n widen from 2 to 3 digits in a later block
+        *(("count", "--m", "3", "--k", "2,1", "--variant", "b", "--range", "90..130",
+           "--format", fmt) for fmt in ("text", "csv")),
+        *(("residue", "--m", "6", "--k", "1,1,2", "--variant", "c", "--range", "5..40",
+           "--format", fmt) for fmt in ("text", "csv")),
+        # no mismatches: a header-only table (verify's text report has no table)
+        ("verify", "--m", "3", "--N", "30", "--format", "csv"),
+    ], ids=["count-offset-text", "count-offset-csv", "residue-offset-text",
+            "residue-offset-csv", "verify-header-only-csv"])
+    def test_commands_equal_line_by_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "EMIT_BLOCK_LINES", self.BLOCK)
+        blocks = run(capsys, *argv)
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_emit", line_by_line_emit)
+        assert blocks == run(capsys, *argv)
+
+
+class TestColumnarEmit:
+    """_emit on hand-made columns equals the row-by-row reference, block by block."""
+
+    BLOCK = 7
+    FIELDS = ("n", "middle", "last")
+    ROWS = range(20)
+    CASES = {
+        "header-only": ([], [], []),
+        # n goes from 2 to 3 digits in the second block
+        "range-not-at-0": (range(90, 110), [str(n * n) for n in range(90, 110)],
+                           [n % 7 for n in range(90, 110)]),
+        "wider-in-a-later-block": (ROWS, ["x"] * 19 + ["a much wider cell"], list(ROWS)),
+        # as in residue's notes: empty last cells leave blanks to strip
+        "ints-among-empty-strings": (ROWS, ["" if n % 3 else n * 1000 for n in ROWS],
+                                     ["" if n % 4 else "note" for n in ROWS]),
+        "bools": (ROWS, [n % 3 == 0 for n in ROWS], [n % 3 == 0 for n in ROWS]),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_line_by_line(self, capsys, monkeypatch, case, fmt):
+        columns = self.CASES[case]
+        monkeypatch.setattr(cli, "EMIT_BLOCK_LINES", self.BLOCK)
+        writes = []
+        real_write = sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+        cli._emit(columns, fmt, self.FIELDS)
+        out = capsys.readouterr().out
+        monkeypatch.undo()
+        line_by_line_emit(columns, fmt, self.FIELDS)
+        assert out == capsys.readouterr().out
+        if fmt != "json":
+            lines = len(columns[0]) + 1
+            assert out.count("\n") == lines
+            assert len(writes) == -(-lines // self.BLOCK)
+
+    def test_text_width_is_global(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EMIT_BLOCK_LINES", self.BLOCK)
+        cli._emit(self.CASES["wider-in-a-later-block"], "text", self.FIELDS)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n   middle             last"
+        assert lines[1] == "0   x                  0"
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--m", "3", "--k", "2,1", "--variant", "b", "--range", "0..40"),
+        ("count", "--m", "3", "--k", "2,1", "--variant", "c", "--range", "0..40", "--enum"),
+        ("residue", "--m", "6", "--k", "1,1,2", "--variant", "c", "--range", "0..40"),
+        ("residue", "--m", "2", "--k", "3", "--variant", "b", "--range", "0..9"),
+        ("expand", "--m", "3", "--k", "2,1", "--variant", "c", "--N", "81"),
+        ("expand", "--m", "2", "--k", "1", "--variant", "b"),
+        ("verify", "--m", "9", "--probe", "--N", "20", "--format", "csv"),
+    ])
+    def test_no_table_column_mixes_bools_and_ints(self, capsys, monkeypatch, argv):
+        # the text width pass measures each distinct value once, and a set
+        # folds True into 1
+        tables = []
+        real_emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda columns, fmt, fields: (
+            tables.append(columns) or real_emit(columns, fmt, fields)))
+        run(capsys, *argv)
+        (columns,) = tables
+        assert len(columns[0]) > 0
+        for column in columns:
+            ints = {type(cell) for cell in column if isinstance(cell, int)}
+            assert not {bool, int} <= ints
 
 
 @pytest.mark.parametrize("last, reads_header", [
