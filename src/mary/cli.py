@@ -19,16 +19,12 @@ given configuration regardless of worker count; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import operator
 import os
-import random
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .congruence import (
@@ -51,7 +47,7 @@ from .counting import (
     count_c_enum,
     count_c_series,
 )
-from .series import CoprimalityError, coprimality_witness
+from .series import CoprimalityError, _Record, coprimality_witness
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -74,21 +70,30 @@ MAX_TERMS = 1_000_000
 EMIT_BLOCK_LINES = 8192
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(_Record):
     """Validated run configuration shared by all subcommands."""
 
-    command: str
-    m: int | None = None
-    colours: ColourSpec | None = None
-    variant: str = "b"
-    span: tuple[int, int] | None = None
-    truncation: int | None = None
-    fmt: str = "text"
-    jobs: int = 1
-    probe: bool = False
-    use_enum: bool = False
-    residue_limit: int = RESIDUE_SWEEP_LIMIT
+    __slots__ = ("command", "m", "colours", "variant", "span", "truncation", "fmt", "jobs",
+                 "probe", "use_enum", "residue_limit")
+
+    def __init__(
+        self,
+        command: str,
+        m: int | None = None,
+        colours: ColourSpec | None = None,
+        variant: str = "b",
+        span: tuple[int, int] | None = None,
+        truncation: int | None = None,
+        fmt: str = "text",
+        jobs: int = 1,
+        probe: bool = False,
+        use_enum: bool = False,
+        residue_limit: int = RESIDUE_SWEEP_LIMIT,
+    ) -> None:
+        values = (command, m, colours, variant, span, truncation, fmt, jobs, probe, use_enum,
+                  residue_limit)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> JobConfig:
@@ -140,22 +145,39 @@ class JobConfig:
         )
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Record):
     """Aggregated outcome of a verification sweep.
 
     checked always equals matched + mismatched; skipped counts grid
     candidates dropped by the hypothesis filter.  Wall time is reported on
-    stderr only, keeping stdout deterministic.
+    stderr only, keeping stdout deterministic.  Unlike the other records,
+    a report is filled in after construction, so it is mutable and
+    unhashable.
     """
 
-    grid: dict
-    checked: int = 0
-    matched: int = 0
-    mismatched: int = 0
-    skipped_hypothesis: int = 0
-    mismatches: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("grid", "checked", "matched", "mismatched", "skipped_hypothesis",
+                 "mismatches", "wall_time")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        grid: dict,
+        checked: int = 0,
+        matched: int = 0,
+        mismatched: int = 0,
+        skipped_hypothesis: int = 0,
+        mismatches: list[dict] | None = None,
+        wall_time: float = 0.0,
+    ) -> None:
+        self.grid = grid
+        self.checked = checked
+        self.matched = matched
+        self.mismatched = mismatched
+        self.skipped_hypothesis = skipped_hypothesis
+        self.mismatches = [] if mismatches is None else mismatches
+        self.wall_time = wall_time
 
 
 def _require_terms(option: str, terms: int) -> None:
@@ -253,10 +275,14 @@ def _emit(columns: Sequence[Sequence], fmt: str, fields: tuple[str, ...]) -> Non
     and no line ends in blanks.
     """
     if fmt == "json":
+        import json
+
         print(json.dumps([dict(zip(fields, row)) for row in zip(*columns)], indent=1))
         return
     k = len(fields)
-    if fmt == "text":
+    if fmt == "csv":
+        import csv
+    elif fmt == "text":
         widths = [max(len(name), _text_width(column)) for name, column in zip(fields, columns[:-1])]
         line = "  ".join([*(f"%-{w}s" for w in widths), "%s"])
     rows = len(columns[0])
@@ -373,42 +399,38 @@ def grid_colour_specs(m: int, quota: int, *, failing: bool = False) -> list[Colo
     or dropped by the coprimality filter (inverted when failing=True).
     Single-entry specs are always kept first so the boundary k_0 = 1 and
     the all-ones spec appear; a seeded shuffle fills the rest of the quota.
+    Candidates are (explicit, tail) pairs, ordered as tuples; only the
+    chosen ones become ColourSpecs.
     """
+    import random
+
     # the filter compares p only with bounds up to MAX_COLOUR_ENTRY, so
     # when m has no prime factor that small, m itself stands in for p
     p = coprimality_witness(m, MAX_COLOUR_ENTRY) or m
-
-    def passes(spec: ColourSpec) -> bool:
-        return p > max(spec.count(0) - 1, *spec.explicit[1:], spec.tail)
-
     singles = []
     longer = []
     entries = range(1, MAX_COLOUR_ENTRY + 1)
+    extras = [(), *((a,) for a in entries), *((a, b) for a in entries for b in entries)]
     for tail in entries:
         for k0 in entries:
-            for extra in ((),) + tuple((a,) for a in entries) + tuple(
-                (a, b) for a in entries for b in entries
-            ):
-                explicit = (k0,) + extra
+            for extra in extras:
                 # a last entry equal to the tail normalizes away, leaving a
                 # spec this loop also yields in its shorter form
-                if len(explicit) > 1 and explicit[-1] == tail:
+                if extra and extra[-1] == tail:
                     continue
-                spec = ColourSpec(explicit, tail)
-                if passes(spec) == failing:
+                if (p > max(k0 - 1, *extra, tail)) == failing:
                     continue
-                target = singles if len(spec.explicit) == 1 and spec.tail == spec.explicit[0] else longer
-                target.append(spec)
+                target = singles if not extra and k0 == tail else longer
+                target.append(((k0, *extra), tail))
     # rng.sample reads longer by position, so the grid depends on this order
-    singles.sort(key=lambda s: (s.explicit, s.tail))
-    longer.sort(key=lambda s: (s.explicit, s.tail))
+    singles.sort()
+    longer.sort()
     chosen = singles[:quota]
     if len(chosen) < quota and longer:
         rng = random.Random(1009 * m + (1 if failing else 0))
-        picks = rng.sample(longer, min(quota - len(chosen), len(longer)))
-        chosen.extend(picks)
-    chosen.sort(key=lambda s: (s.explicit, s.tail))
-    return chosen
+        chosen.extend(rng.sample(longer, min(quota - len(chosen), len(longer))))
+    chosen.sort()
+    return [ColourSpec(explicit, tail) for explicit, tail in chosen]
 
 
 def default_grid(moduli=GRID_MODULI, *, failing: bool = False) -> list[PartitionProblem]:
@@ -535,6 +557,8 @@ def cmd_verify(cfg: JobConfig) -> int:
     report.wall_time = time.perf_counter() - started
 
     if cfg.fmt == "json":
+        import json
+
         payload = {
             "grid": report.grid,
             "totals": {

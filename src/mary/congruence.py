@@ -10,13 +10,12 @@ checked coefficient by coefficient against the exact counting oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 
 from . import series
 from .counting import PartitionProblem, count_b_series, count_c_series
-from .series import CoprimalityError, ModSeries, coprimality_witness
+from .series import CoprimalityError, ModSeries, _Record, coprimality_witness
 
 __all__ = [
     "Digits",
@@ -38,28 +37,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Digits:
+class Digits(_Record):
     """Base-m digits of a nonnegative integer, least significant first.
 
     The digit tuple never has a trailing zero except for the single digit
     of zero itself, so top_index is well defined.
     """
 
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("base", "digits")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if self.base < 2:
+    def __init__(self, base: int, digits: tuple[int, ...]) -> None:
+        digits = tuple(digits)
+        if base < 2:
             raise ValueError("base must be at least 2")
-        if not self.digits:
+        if not digits:
             raise ValueError("digit tuple must be nonempty")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
+        for d in digits:
+            if not 0 <= d < base:
+                raise ValueError(f"digit {d} out of range for base {base}")
+        if len(digits) > 1 and digits[-1] == 0:
             raise ValueError("trailing zero digit")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "digits", digits)
 
     @property
     def top_index(self) -> int:
@@ -73,38 +72,39 @@ class Digits:
         return total
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(_Record):
     """A canonical residue value in [0, modulus - 1]."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
+    def __init__(self, value: int, modulus: int) -> None:
+        if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"{self.value} is not canonical mod {self.modulus}")
+        if not 0 <= value < modulus:
+            raise ValueError(f"{value} is not canonical mod {modulus}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(_Record):
     """Outcome of a coprimality check, with a witness on failure.
 
     prime is the smallest prime factor of m at fault and index the first
     digit position where it offends; both are None when the check passes.
     """
 
-    ok: bool
-    prime: int | None = None
-    index: int | None = None
+    __slots__ = ("ok", "prime", "index")
+
+    def __init__(self, ok: bool, prime: int | None = None, index: int | None = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "index", index)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class GapFreeDecomposition:
+class GapFreeDecomposition(_Record):
     """Presentation of a query n' as n - d0 with base | n and 0 <= d0 < base.
 
     n is the least multiple of the base at or above n'; s and t index the
@@ -112,30 +112,28 @@ class GapFreeDecomposition:
     Since n is a positive multiple of the base, s >= 1 and d_s >= 1 always.
     """
 
-    n_prime: int
-    d0: int
-    n: int
-    base: int
-    s: int
-    t: int
-    digits: tuple[int, ...]
+    __slots__ = ("n_prime", "d0", "n", "base", "s", "t", "digits")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if self.base < 2:
+    def __init__(
+        self, n_prime: int, d0: int, n: int, base: int, s: int, t: int, digits: tuple[int, ...]
+    ) -> None:
+        digits = tuple(digits)
+        if base < 2:
             raise ValueError("base must be at least 2")
-        if self.n_prime < 1:
+        if n_prime < 1:
             raise ValueError("n_prime must be positive")
-        if not 0 <= self.d0 < self.base:
+        if not 0 <= d0 < base:
             raise ValueError("d0 out of range")
-        if self.n != self.n_prime + self.d0 or self.n % self.base != 0:
+        if n != n_prime + d0 or n % base != 0:
             raise ValueError("n must be n_prime + d0 and divisible by the base")
-        if not 1 <= self.s <= self.t:
+        if not 1 <= s <= t:
             raise ValueError("need 1 <= s <= t")
-        if len(self.digits) != self.t - self.s + 1:
+        if len(digits) != t - s + 1:
             raise ValueError("digit window must cover s..t")
-        if not 1 <= self.digits[0] < self.base:
+        if not 1 <= digits[0] < base:
             raise ValueError("lowest nonzero digit must be in [1, base - 1]")
+        for name, value in zip(self._fields, (n_prime, d0, n, base, s, t, digits)):
+            object.__setattr__(self, name, value)
 
 
 def to_digits(n: int, base: int) -> Digits:

@@ -15,13 +15,12 @@ binomials, so one can check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import sub
 
-from .series import ExactSeries
+from .series import ExactSeries, _Record
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -43,8 +42,7 @@ class EnumerationCapError(ValueError):
     """The requested n is too large for the enumeration oracle."""
 
 
-@dataclass(frozen=True)
-class ColourSpec:
+class ColourSpec(_Record):
     """Colour counts per part size: explicit k_0..k_r, then a constant tail.
 
     count(j) is the number of colours available for part m^j.  Indices past
@@ -52,18 +50,19 @@ class ColourSpec:
     power at once.
     """
 
-    explicit: tuple[int, ...]
-    tail: int
+    __slots__ = ("explicit", "tail")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "explicit", tuple(self.explicit))
-        if not self.explicit:
+    def __init__(self, explicit: tuple[int, ...], tail: int) -> None:
+        explicit = tuple(explicit)
+        if not explicit:
             raise ValueError("colour spec needs at least one explicit entry")
-        for k in self.explicit:
+        for k in explicit:
             if k < 1:
                 raise ValueError(f"colour counts must be positive, got {k}")
-        if self.tail < 1:
-            raise ValueError(f"tail colour count must be positive, got {self.tail}")
+        if tail < 1:
+            raise ValueError(f"tail colour count must be positive, got {tail}")
+        object.__setattr__(self, "explicit", explicit)
+        object.__setattr__(self, "tail", tail)
 
     def count(self, index: int) -> int:
         """Number of colours for part m^index."""
@@ -101,16 +100,21 @@ class ColourSpec:
         return ",".join(str(k) for k in self.explicit) + f";{self.tail}"
 
 
-@dataclass(frozen=True)
-class PartitionProblem:
+class PartitionProblem(_Record):
     """A base m >= 2 together with the colour counts for its powers."""
 
-    m: int
-    colours: ColourSpec
+    # the hash is taken once: each point formula call looks the problem up
+    __slots__ = ("m", "colours", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"base must be at least 2, got {self.m}")
+    def __init__(self, m: int, colours: ColourSpec) -> None:
+        if m < 2:
+            raise ValueError(f"base must be at least 2, got {m}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "colours", colours)
+        object.__setattr__(self, "_hash", hash((m, colours)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def count_b_series(prob: PartitionProblem, truncation: int) -> ExactSeries:

@@ -10,7 +10,6 @@ in [0, m - 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isqrt
 
 __all__ = [
@@ -60,6 +59,49 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+class _Record:
+    """Base of the package's value types: immutable, compared by value.
+
+    A subclass lists its fields in __slots__, in constructor order, and
+    sets them in __init__ with object.__setattr__.  A slot whose name
+    starts with an underscore is a private cache, not a field.  Records
+    of one class are equal when their fields are; a record never equals
+    an instance of another class.  pickle and copy rebuild a record
+    through its constructor, so a copy is validated like the original.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
 def coprimality_witness(modulus: int, bound: int) -> int | None:
     """Smallest prime dividing both modulus and bound!, or None if coprime.
 
@@ -78,8 +120,7 @@ def coprimality_witness(modulus: int, bound: int) -> int | None:
     return modulus if modulus <= bound else None
 
 
-@dataclass(frozen=True)
-class ExactSeries:
+class ExactSeries(_Record):
     """Integer power series truncated at a fixed degree.
 
     coeffs[i] is the coefficient of q^i; the tuple has exactly
@@ -87,18 +128,18 @@ class ExactSeries:
     Python integers, so counting values never wrap.
     """
 
-    truncation_degree: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("truncation_degree", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.truncation_degree < 0:
+    def __init__(self, truncation_degree: int, coeffs: tuple[int, ...]) -> None:
+        coeffs = tuple(coeffs)
+        if truncation_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        if len(self.coeffs) != self.truncation_degree + 1:
+        if len(coeffs) != truncation_degree + 1:
             raise ValueError(
-                f"expected {self.truncation_degree + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"expected {truncation_degree + 1} coefficients, got {len(coeffs)}"
             )
+        object.__setattr__(self, "truncation_degree", truncation_degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def one(cls, truncation_degree: int) -> ExactSeries:
@@ -109,8 +150,7 @@ class ExactSeries:
         return mul(self, other)
 
 
-@dataclass(frozen=True)
-class ModSeries:
+class ModSeries(_Record):
     """Power series over Z_modulus truncated at a fixed degree.
 
     Every coefficient must already be a canonical residue; the constructor
@@ -118,26 +158,24 @@ class ModSeries:
     as loud structural errors.
     """
 
-    modulus: int
-    truncation_degree: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("modulus", "truncation_degree", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.modulus < 2:
+    def __init__(self, modulus: int, truncation_degree: int, coeffs: tuple[int, ...]) -> None:
+        coeffs = tuple(coeffs)
+        if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if self.truncation_degree < 0:
+        if truncation_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        if len(self.coeffs) != self.truncation_degree + 1:
+        if len(coeffs) != truncation_degree + 1:
             raise ValueError(
-                f"expected {self.truncation_degree + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"expected {truncation_degree + 1} coefficients, got {len(coeffs)}"
             )
-        for c in self.coeffs:
-            if not 0 <= c < self.modulus:
-                raise ValueError(
-                    f"coefficient {c} is not a canonical residue mod {self.modulus}"
-                )
+        for c in coeffs:
+            if not 0 <= c < modulus:
+                raise ValueError(f"coefficient {c} is not a canonical residue mod {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "truncation_degree", truncation_degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def one(cls, modulus: int, truncation_degree: int) -> ModSeries:

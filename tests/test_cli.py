@@ -479,6 +479,19 @@ def test_reader_closing_early_exits_141_quietly(last, reads_header):
         proc.stderr.close()
 
 
+def test_import_leaves_unused_modules_unloaded():
+    # every command is a fresh process, so what the import loads is paid on each run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys; before = set(sys.modules); import mary.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    added = set(done.stdout.split())
+    assert "mary.cli" in added
+    assert not added & {"dataclasses", "inspect", "json", "csv", "concurrent.futures"}
+
+
 class TestSizeLimits:
     @pytest.mark.parametrize("argv", [
         ("expand", "--m", "1000", "--k", "1"),
