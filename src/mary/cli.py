@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import chain, repeat
 
 from .congruence import (
     expand_b_product,
@@ -113,7 +113,7 @@ class JobConfig(_Record):
         truncation = getattr(ns, "N", None)
         if truncation is not None and truncation < 0:
             raise ValueError(f"--N must be nonnegative, got {truncation}")
-        jobs = getattr(ns, "jobs", 1) or 1
+        jobs = getattr(ns, "jobs", 1)
         if jobs < 1:
             raise ValueError(f"--jobs must be positive, got {jobs}")
         residue_limit = truncation if ns.command == "verify" and truncation is not None else RESIDUE_SWEEP_LIMIT
@@ -443,62 +443,82 @@ def default_grid(moduli=GRID_MODULI, *, failing: bool = False) -> list[Partition
     return points
 
 
-# check kind -> (oracle, formula, first n compared).  Oracles take the
-# point and the residue sweep limit; formulas also take whether to enforce
-# the hypothesis.  The lambdas look their callees up when called, so a
+# check kind -> (variant, oracle, formula, first n compared).  An oracle
+# takes the point's exact series for its variant, reduced mod m to degree
+# max(residue sweep limit, m**4), and reads its slice of it; a formula takes
+# the point, the limit and whether to enforce the hypothesis, and returns a
+# list.  The formula lambdas look their callees up when called, so a
 # module-level name replaced at run time (by a tracer, say) is the one used.
 CHECKS = {
     "corollary-b": (
-        lambda prob, limit: [c % prob.m for c in count_b_series(prob, limit).coeffs],
+        "b",
+        lambda reduced, prob, limit: reduced[:limit + 1],
         lambda prob, limit, enforce: residues_b(prob, limit, enforce_hypothesis=enforce),
         0,
     ),
     "corollary-c": (
-        lambda prob, limit: [c % prob.m for c in count_c_series(prob, limit).coeffs],
+        "c",
+        lambda reduced, prob, limit: reduced[:limit + 1],
         lambda prob, limit, enforce: residues_c(prob, limit, enforce_hypothesis=enforce),
         1,  # the gap-free formula covers n >= 1 only
     ),
     "theorem-b": (
-        lambda prob, limit: expand_b_product(prob, prob.m ** 4).coeffs,
-        lambda prob, limit, enforce: expand_b_theorem(
-            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
+        "b",
+        lambda reduced, prob, limit: reduced[:prob.m ** 4 + 1],
+        lambda prob, limit, enforce: list(expand_b_theorem(
+            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs),
         0,
     ),
     "theorem-c": (
-        lambda prob, limit: expand_c_product(prob, prob.m ** 4).coeffs,
-        lambda prob, limit, enforce: expand_c_theorem(
-            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
+        "c",
+        # the identity is stated for 1 + sum c(n) q^n, as in expand_c_product
+        lambda reduced, prob, limit: [1, *reduced[1:prob.m ** 4 + 1]],
+        lambda prob, limit, enforce: list(expand_c_theorem(
+            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs),
         0,
     ),
 }
 CHECK_KINDS = tuple(CHECKS)
 
 
-def _verify_cell(task: tuple) -> tuple:
-    """Run one (grid point, check kind) cell.  Must stay picklable.
+def _verify_cell(task: tuple) -> list[tuple]:
+    """Run every check of one grid point.  Must stay picklable.
 
-    Matches are counted in one pass; the cell is walked for mismatch
-    records only when some n failed.  Only the first MISMATCH_RECORD_LIMIT
-    mismatches become records: n ascends within a cell, so these are the
-    cell's only candidates for the report's sorted top MISMATCH_RECORD_LIMIT.
+    Each variant's exact series is built once, to the larger of the residue
+    sweep limit and m**4, and reduced mod m in one pass; both checks of the
+    variant read their slices of it, and each still calls its own formula.
+    Returns one (checked, matched, mismatches) per check, in CHECK_KINDS
+    order.  A check's slices are compared in one list equality and walked
+    only when they differ.  Only the first MISMATCH_RECORD_LIMIT mismatches
+    of a check become records: n ascends within a check, so these are its
+    only candidates for the report's sorted top MISMATCH_RECORD_LIMIT.
     """
-    kind, m, explicit, tail, residue_limit, probe = task
+    m, explicit, tail, residue_limit, probe = task
     prob = PartitionProblem(m, ColourSpec(explicit, tail))
-    oracle_of, formula_of, start = CHECKS[kind]
-    oracle = oracle_of(prob, residue_limit)
-    formula = formula_of(prob, residue_limit, not probe)
-    checked = len(oracle) - start
-    matched = sum(map(operator.eq, oracle[start:], formula[start:]))
-    mismatches = []
-    if matched < checked:
-        spec_text = str(prob.colours)
-        for n in range(start, len(oracle)):
-            if oracle[n] != formula[n]:
-                mismatches.append({"check": kind, "m": m, "k": spec_text, "n": n,
-                                   "oracle": oracle[n], "formula": formula[n]})
-                if len(mismatches) == MISMATCH_RECORD_LIMIT:
-                    break
-    return (checked, matched, mismatches)
+    size = max(residue_limit, m ** 4)
+    # built one at a time: each exact series is dropped once reduced
+    reduced = {"b": list(map(m.__rmod__, count_b_series(prob, size).coeffs)),
+               "c": list(map(m.__rmod__, count_c_series(prob, size).coeffs))}
+    results = []
+    for kind in CHECK_KINDS:
+        variant, oracle_of, formula_of, start = CHECKS[kind]
+        oracle = oracle_of(reduced[variant], prob, residue_limit)
+        formula = formula_of(prob, residue_limit, not probe)
+        checked = len(oracle) - start
+        mismatches = []
+        if oracle[start:] == formula[start:]:
+            matched = checked
+        else:
+            matched = sum(map(operator.eq, oracle[start:], formula[start:]))
+            spec_text = str(prob.colours)
+            for n in range(start, len(oracle)):
+                if oracle[n] != formula[n]:
+                    mismatches.append({"check": kind, "m": m, "k": spec_text, "n": n,
+                                       "oracle": oracle[n], "formula": formula[n]})
+                    if len(mismatches) == MISMATCH_RECORD_LIMIT:
+                        break
+        results.append((checked, matched, mismatches))
+    return results
 
 
 def run_verification(cfg: JobConfig) -> VerifyReport:
@@ -516,20 +536,17 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
     else:
         points = default_grid(moduli, failing=cfg.probe)
 
-    tasks = [
-        (kind, prob.m, prob.colours.explicit, prob.colours.tail,
-         cfg.residue_limit, cfg.probe)
-        for prob in points
-        for kind in CHECK_KINDS
-    ]
+    tasks = [(prob.m, prob.colours.explicit, prob.colours.tail, cfg.residue_limit, cfg.probe)
+             for prob in points]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: the pool's modules would add to every other run's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_verify_cell, tasks))
+        # the pool starts all its workers at once; past one per task they idle
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
+            cells = list(pool.map(_verify_cell, tasks))
     else:
-        results = [_verify_cell(task) for task in tasks]
+        cells = [_verify_cell(task) for task in tasks]
 
     report = VerifyReport(
         grid={
@@ -541,7 +558,7 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
         },
         skipped_hypothesis=skipped,
     )
-    for checked, matched, mismatches in results:
+    for checked, matched, mismatches in chain.from_iterable(cells):
         report.checked += checked
         report.matched += matched
         report.mismatched += checked - matched

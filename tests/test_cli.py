@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -27,6 +28,8 @@ from mary.cli import (
     run_verification,
 )
 from mary import check_hypothesis
+from mary.congruence import expand_b_product, expand_c_product
+from mary.counting import count_b_series, count_c_series
 
 
 def run(capsys, *argv):
@@ -204,6 +207,42 @@ class TestVerify:
                              "--jobs", "3")
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_is_a_config_error(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--m", "3", "--N", "30", "--jobs", jobs)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: --jobs must be positive, got {jobs}\n"
+
+    @pytest.mark.parametrize("jobs, points, workers", [(2, 1, None), (4, 14, 4), (64, 14, 14)])
+    def test_pool_starts_no_more_workers_than_tasks(self, capsys, monkeypatch, jobs, points,
+                                                     workers):
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        spec = ("--k", "2,3;1") if points == 1 else ()
+        code, out, _ = run(capsys, "verify", "--m", "5", *spec, "--N", "30",
+                           "--format", "json", "--jobs", str(jobs))
+        assert code == EXIT_OK
+        assert json.loads(out)["grid"]["points"] == points
+        # one task runs in process, without a pool
+        assert started == ([] if workers is None else [workers])
+
     def test_csv_is_header_only_on_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "3", "--N", "30", "--format", "csv")
         assert code == EXIT_OK
@@ -262,16 +301,50 @@ class TestGrid:
         keys = [(r["m"], r["k"], r["n"], r["check"]) for r in report.mismatches]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_shared_oracle_slices_equal_the_separate_oracles(self, monkeypatch, failing):
+        # each check's slice of the point's one reduced series, against the
+        # oracle the check would build on its own
+        separate = {
+            "corollary-b": lambda prob, limit: [c % prob.m for c in
+                                                count_b_series(prob, limit).coeffs],
+            "corollary-c": lambda prob, limit: [c % prob.m for c in
+                                                count_c_series(prob, limit).coeffs],
+            "theorem-b": lambda prob, limit: list(expand_b_product(prob, prob.m ** 4).coeffs),
+            "theorem-c": lambda prob, limit: list(expand_c_product(prob, prob.m ** 4).coeffs),
+        }
+        slices = {}
+
+        def recorded(kind, oracle_of):
+            def oracle(reduced, prob, limit):
+                slices[kind] = oracle_of(reduced, prob, limit)
+                return slices[kind]
+            return oracle
+
+        # the formulas are replaced by the separate oracles, so every check matches
+        monkeypatch.setattr(cli, "CHECKS", {
+            kind: (variant, recorded(kind, oracle_of),
+                   lambda prob, limit, enforce, kind=kind: separate[kind](prob, limit), start)
+            for kind, (variant, oracle_of, _, start) in cli.CHECKS.items()
+        })
+        for prob in default_grid(failing=failing):
+            results = _verify_cell((prob.m, prob.colours.explicit, prob.colours.tail, 200,
+                                    failing))
+            for kind, (checked, matched, mismatches) in zip(CHECK_KINDS, results):
+                assert slices[kind] == separate[kind](prob, 200), (prob, kind)
+                assert checked == matched == len(slices[kind]) - cli.CHECKS[kind][3]
+                assert mismatches == []
+
     def test_capped_records_are_the_sorted_head(self, monkeypatch):
         cfg = JobConfig(command="verify", m=2, colours=cli.ColourSpec.parse("3"),
                         residue_limit=600, probe=True)
         report = run_verification(cfg)
-        _, _, capped = _verify_cell(("corollary-c", 2, (3,), 3, 600, True))
+        cells = dict(zip(CHECK_KINDS, _verify_cell((2, (3,), 3, 600, True))))
+        _, _, capped = cells["corollary-c"]
         assert len(capped) == MISMATCH_RECORD_LIMIT
         monkeypatch.setattr(cli, "MISMATCH_RECORD_LIMIT", 10**9)
         uncapped = []
-        for kind in CHECK_KINDS:
-            _, _, records = _verify_cell((kind, 2, (3,), 3, 600, True))
+        for _, _, records in _verify_cell((2, (3,), 3, 600, True)):
             uncapped.extend(records)
         uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
         assert len(uncapped) == report.mismatched > MISMATCH_RECORD_LIMIT
@@ -301,6 +374,29 @@ class TestGoldenOutput:
     ])
     def test_stdout_is_pinned(self, capsys, command, fmt, digest):
         code, out, _ = run(capsys, *self.COMMANDS[command], "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # each probe run prints MISMATCH_RECORD_LIMIT records; m**4 < N at m = 3
+    # and m**4 > N at m = 9, so the theorem checks reach past the corollaries
+    # in one and stop short of them in the other
+    VERIFY = {
+        "probe-3": ("verify", "--probe", "--m", "3", "--N", "300"),
+        "probe-9": ("verify", "--probe", "--m", "9", "--N", "200"),
+        "pass-5": ("verify", "--m", "5", "--N", "300"),
+    }
+
+    @pytest.mark.parametrize("command, fmt, digest", [
+        ("probe-3", "text", "8a9ba1d4befd1821ee45a3096ec33b5abb41e42bb323161bbd74b9f53831b845"),
+        ("probe-3", "json", "c407e8d64bd0adc2cf26d37872706c934c390213a0ce5f3775ba6f2bbfe18b3b"),
+        ("probe-3", "csv", "8a6d2e23408d29c340cc23505527d63bf19de5722de0f2d2681906783c39a7b3"),
+        ("probe-9", "text", "683b8931204de075211e1c1fc9331cde2871633cdb50928d145b426929ac42cc"),
+        ("probe-9", "json", "d287116202ff13ea6bfe08ae61f8bf015c05be0a11fd74e7e872ebc03a86cb3e"),
+        ("probe-9", "csv", "ec842abd62ef3ec0598220e8c9894dbece4dd42223eff15e5af15f63e74b2a3d"),
+        ("pass-5", "text", "df8168a00972f4e4e1a262e6f8a1884e76978dbf5cbe2ff4abadbe0628c8cbe6"),
+    ])
+    def test_verify_stdout_is_pinned(self, capsys, command, fmt, digest):
+        code, out, _ = run(capsys, *self.VERIFY[command], "--format", fmt)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -374,11 +470,16 @@ class TestBlockOutput:
     ], ids=["count-offset-text", "count-offset-csv", "residue-offset-text",
             "residue-offset-csv", "verify-header-only-csv"])
     def test_commands_equal_line_by_line(self, capsys, monkeypatch, argv):
+        def timeless(result):
+            # verify's wall time on stderr differs between any two runs
+            code, out, err = result
+            return code, out, re.sub(r"completed in [0-9.]+s", "completed in Ts", err)
+
         monkeypatch.setattr(cli, "EMIT_BLOCK_LINES", self.BLOCK)
         blocks = run(capsys, *argv)
         monkeypatch.undo()
         monkeypatch.setattr(cli, "_emit", line_by_line_emit)
-        assert blocks == run(capsys, *argv)
+        assert timeless(blocks) == timeless(run(capsys, *argv))
 
 
 class TestColumnarEmit:

@@ -47,6 +47,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ModSeries(3, 1, (-1, 0))
 
+    @pytest.mark.parametrize("coeffs, bad", [
+        ((0, 5, -1), 5), ((0, -1, 5), -1), ((2, 0, 3), 3), ((1, -1, 2), -1),
+    ])
+    def test_error_names_the_first_noncanonical_coefficient(self, coeffs, bad):
+        with pytest.raises(ValueError) as excinfo:
+            ModSeries(3, 2, coeffs)
+        assert str(excinfo.value) == f"coefficient {bad} is not a canonical residue mod 3"
+
     def test_modulus_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             ModSeries(1, 0, (0,))
