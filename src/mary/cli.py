@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .congruence import (
     expand_b_product,
@@ -443,78 +443,77 @@ def default_grid(moduli=GRID_MODULI, *, failing: bool = False) -> list[Partition
     return points
 
 
-# check kind -> (variant, oracle, formula, first n compared).  An oracle
-# takes the point's exact series for its variant, reduced mod m to degree
-# max(residue sweep limit, m**4), and reads its slice of it; a formula takes
-# the point, the limit and whether to enforce the hypothesis, and returns a
-# list.  The formula lambdas look their callees up when called, so a
-# module-level name replaced at run time (by a tracer, say) is the one used.
+# variant -> (exact series, its checks).  The series takes the point and a
+# degree.  Each check is (kind, oracle, formula, first n compared): an oracle
+# takes the variant's exact series reduced mod m to degree max(residue sweep
+# limit, m**4) and returns its slice of it, of the type its formula returns; a
+# formula takes the point, the limit and whether to enforce the hypothesis.
+# The lambdas look their callees up when called, so a module-level name
+# replaced at run time (by a tracer, say) is the one used.
 CHECKS = {
-    "corollary-b": (
-        "b",
-        lambda reduced, prob, limit: reduced[:limit + 1],
-        lambda prob, limit, enforce: residues_b(prob, limit, enforce_hypothesis=enforce),
-        0,
+    "b": (
+        lambda prob, degree: count_b_series(prob, degree),
+        (
+            ("corollary-b",
+             lambda reduced, prob, limit: reduced[:limit + 1],
+             lambda prob, limit, enforce: residues_b(prob, limit, enforce_hypothesis=enforce),
+             0),
+            ("theorem-b",
+             lambda reduced, prob, limit: tuple(islice(reduced, prob.m ** 4 + 1)),
+             lambda prob, limit, enforce: expand_b_theorem(
+                 prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
+             0),
+        ),
     ),
-    "corollary-c": (
-        "c",
-        lambda reduced, prob, limit: reduced[:limit + 1],
-        lambda prob, limit, enforce: residues_c(prob, limit, enforce_hypothesis=enforce),
-        1,  # the gap-free formula covers n >= 1 only
-    ),
-    "theorem-b": (
-        "b",
-        lambda reduced, prob, limit: reduced[:prob.m ** 4 + 1],
-        lambda prob, limit, enforce: list(expand_b_theorem(
-            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs),
-        0,
-    ),
-    "theorem-c": (
-        "c",
-        # the identity is stated for 1 + sum c(n) q^n, as in expand_c_product
-        lambda reduced, prob, limit: [1, *reduced[1:prob.m ** 4 + 1]],
-        lambda prob, limit, enforce: list(expand_c_theorem(
-            prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs),
-        0,
+    "c": (
+        lambda prob, degree: count_c_series(prob, degree),
+        (
+            ("corollary-c",
+             lambda reduced, prob, limit: reduced[:limit + 1],
+             lambda prob, limit, enforce: residues_c(prob, limit, enforce_hypothesis=enforce),
+             1),  # the gap-free formula covers n >= 1 only
+            ("theorem-c",
+             # the identity is stated for 1 + sum c(n) q^n, as in expand_c_product
+             lambda reduced, prob, limit: (1, *islice(reduced, 1, prob.m ** 4 + 1)),
+             lambda prob, limit, enforce: expand_c_theorem(
+                 prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
+             0),
+        ),
     ),
 }
-CHECK_KINDS = tuple(CHECKS)
 
 
 def _verify_cell(task: tuple) -> list[tuple]:
-    """Run every check of one grid point.  Must stay picklable.
+    """Run both checks of one (grid point, variant).  Must stay picklable.
 
-    Each variant's exact series is built once, to the larger of the residue
-    sweep limit and m**4, and reduced mod m in one pass; both checks of the
-    variant read their slices of it, and each still calls its own formula.
-    Returns one (checked, matched, mismatches) per check, in CHECK_KINDS
-    order.  A check's slices are compared in one list equality and walked
-    only when they differ.  Only the first MISMATCH_RECORD_LIMIT mismatches
-    of a check become records: n ascends within a check, so these are its
-    only candidates for the report's sorted top MISMATCH_RECORD_LIMIT.
+    The variant's exact series is built once, to the larger of the residue
+    sweep limit and m**4, and reduced mod m in one pass; each check reads
+    its slice of it and still calls its own formula.  Returns one (checked,
+    matched, mismatches) per check.  A check's slices are compared in one
+    equality and walked only when they differ.  Only the first
+    MISMATCH_RECORD_LIMIT mismatches of a check become records: n ascends
+    within a check, so these are its only candidates for the report's
+    sorted top MISMATCH_RECORD_LIMIT.
     """
-    m, explicit, tail, residue_limit, probe = task
+    variant, m, explicit, tail, residue_limit, probe = task
     prob = PartitionProblem(m, ColourSpec(explicit, tail))
-    size = max(residue_limit, m ** 4)
-    # built one at a time: each exact series is dropped once reduced
-    reduced = {"b": list(map(m.__rmod__, count_b_series(prob, size).coeffs)),
-               "c": list(map(m.__rmod__, count_c_series(prob, size).coeffs))}
+    series_of, checks = CHECKS[variant]
+    reduced = list(map(m.__rmod__, series_of(prob, max(residue_limit, m ** 4)).coeffs))
     results = []
-    for kind in CHECK_KINDS:
-        variant, oracle_of, formula_of, start = CHECKS[kind]
-        oracle = oracle_of(reduced[variant], prob, residue_limit)
-        formula = formula_of(prob, residue_limit, not probe)
-        checked = len(oracle) - start
+    for kind, oracle_of, formula_of, start in checks:
+        oracle = oracle_of(reduced, prob, residue_limit)[start:]
+        formula = formula_of(prob, residue_limit, not probe)[start:]
+        checked = len(oracle)
         mismatches = []
-        if oracle[start:] == formula[start:]:
+        if oracle == formula:
             matched = checked
         else:
-            matched = sum(map(operator.eq, oracle[start:], formula[start:]))
+            matched = sum(map(operator.eq, oracle, formula))
             spec_text = str(prob.colours)
-            for n in range(start, len(oracle)):
-                if oracle[n] != formula[n]:
+            for n, (want, got) in enumerate(zip(oracle, formula), start):
+                if want != got:
                     mismatches.append({"check": kind, "m": m, "k": spec_text, "n": n,
-                                       "oracle": oracle[n], "formula": formula[n]})
+                                       "oracle": want, "formula": got})
                     if len(mismatches) == MISMATCH_RECORD_LIMIT:
                         break
         results.append((checked, matched, mismatches))
@@ -536,8 +535,12 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
     else:
         points = default_grid(moduli, failing=cfg.probe)
 
-    tasks = [(prob.m, prob.colours.explicit, prob.colours.tail, cfg.residue_limit, cfg.probe)
-             for prob in points]
+    tasks = [
+        (variant, prob.m, prob.colours.explicit, prob.colours.tail,
+         cfg.residue_limit, cfg.probe)
+        for prob in points
+        for variant in CHECKS
+    ]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: the pool's modules would add to every other run's start-up
         from concurrent.futures import ProcessPoolExecutor

@@ -170,13 +170,9 @@ class ModSeries(_Record):
             raise ValueError(
                 f"expected {truncation_degree + 1} coefficients, got {len(coeffs)}"
             )
-        # C-level passes: set() first, as min and max cost more per item
-        # than a Python loop, and a small modulus leaves few distinct
-        # values.  The walk, on failure only, names the first bad one.
-        distinct = set(coeffs)
-        if min(distinct) < 0 or max(distinct) >= modulus:
-            bad = next(c for c in coeffs if not 0 <= c < modulus)
-            raise ValueError(f"coefficient {bad} is not a canonical residue mod {modulus}")
+        for c in coeffs:
+            if not 0 <= c < modulus:
+                raise ValueError(f"coefficient {c} is not a canonical residue mod {modulus}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "truncation_degree", truncation_degree)
         object.__setattr__(self, "coeffs", coeffs)

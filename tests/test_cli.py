@@ -13,7 +13,6 @@ import pytest
 
 from mary import cli
 from mary.cli import (
-    CHECK_KINDS,
     EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_OK,
@@ -214,7 +213,9 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --jobs must be positive, got {jobs}\n"
 
-    @pytest.mark.parametrize("jobs, points, workers", [(2, 1, None), (4, 14, 4), (64, 14, 14)])
+    # one task per (point, variant)
+    @pytest.mark.parametrize("jobs, points, workers",
+                             [(2, 0, None), (2, 1, 2), (4, 1, 2), (4, 14, 4), (64, 14, 28)])
     def test_pool_starts_no_more_workers_than_tasks(self, capsys, monkeypatch, jobs, points,
                                                      workers):
         import concurrent.futures
@@ -235,12 +236,12 @@ class TestVerify:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        spec = ("--k", "2,3;1") if points == 1 else ()
-        code, out, _ = run(capsys, "verify", "--m", "5", *spec, "--N", "30",
+        spec = {0: ("--m", "2", "--k", "3"), 1: ("--m", "5", "--k", "2,3;1"), 14: ("--m", "5")}
+        code, out, _ = run(capsys, "verify", *spec[points], "--N", "30",
                            "--format", "json", "--jobs", str(jobs))
         assert code == EXIT_OK
         assert json.loads(out)["grid"]["points"] == points
-        # one task runs in process, without a pool
+        # no task, no pool
         assert started == ([] if workers is None else [workers])
 
     def test_csv_is_header_only_on_pass(self, capsys):
@@ -310,8 +311,8 @@ class TestGrid:
                                                 count_b_series(prob, limit).coeffs],
             "corollary-c": lambda prob, limit: [c % prob.m for c in
                                                 count_c_series(prob, limit).coeffs],
-            "theorem-b": lambda prob, limit: list(expand_b_product(prob, prob.m ** 4).coeffs),
-            "theorem-c": lambda prob, limit: list(expand_c_product(prob, prob.m ** 4).coeffs),
+            "theorem-b": lambda prob, limit: expand_b_product(prob, prob.m ** 4).coeffs,
+            "theorem-c": lambda prob, limit: expand_c_product(prob, prob.m ** 4).coeffs,
         }
         slices = {}
 
@@ -323,29 +324,32 @@ class TestGrid:
 
         # the formulas are replaced by the separate oracles, so every check matches
         monkeypatch.setattr(cli, "CHECKS", {
-            kind: (variant, recorded(kind, oracle_of),
-                   lambda prob, limit, enforce, kind=kind: separate[kind](prob, limit), start)
-            for kind, (variant, oracle_of, _, start) in cli.CHECKS.items()
+            variant: (series_of, tuple(
+                (kind, recorded(kind, oracle_of),
+                 lambda prob, limit, enforce, kind=kind: separate[kind](prob, limit), start)
+                for kind, oracle_of, _, start in checks))
+            for variant, (series_of, checks) in cli.CHECKS.items()
         })
         for prob in default_grid(failing=failing):
-            results = _verify_cell((prob.m, prob.colours.explicit, prob.colours.tail, 200,
-                                    failing))
-            for kind, (checked, matched, mismatches) in zip(CHECK_KINDS, results):
-                assert slices[kind] == separate[kind](prob, 200), (prob, kind)
-                assert checked == matched == len(slices[kind]) - cli.CHECKS[kind][3]
-                assert mismatches == []
+            for variant, (_, checks) in cli.CHECKS.items():
+                results = _verify_cell((variant, prob.m, prob.colours.explicit,
+                                        prob.colours.tail, 200, failing))
+                for (kind, _, _, start), (checked, matched, mismatches) in zip(checks, results):
+                    assert slices[kind] == separate[kind](prob, 200), (prob, kind)
+                    assert checked == matched == len(slices[kind]) - start
+                    assert mismatches == []
 
     def test_capped_records_are_the_sorted_head(self, monkeypatch):
         cfg = JobConfig(command="verify", m=2, colours=cli.ColourSpec.parse("3"),
                         residue_limit=600, probe=True)
         report = run_verification(cfg)
-        cells = dict(zip(CHECK_KINDS, _verify_cell((2, (3,), 3, 600, True))))
-        _, _, capped = cells["corollary-c"]
+        (_, _, capped), _ = _verify_cell(("c", 2, (3,), 3, 600, True))  # corollary, theorem
         assert len(capped) == MISMATCH_RECORD_LIMIT
         monkeypatch.setattr(cli, "MISMATCH_RECORD_LIMIT", 10**9)
         uncapped = []
-        for _, _, records in _verify_cell((2, (3,), 3, 600, True)):
-            uncapped.extend(records)
+        for variant in cli.CHECKS:
+            for _, _, records in _verify_cell((variant, 2, (3,), 3, 600, True)):
+                uncapped.extend(records)
         uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
         assert len(uncapped) == report.mismatched > MISMATCH_RECORD_LIMIT
         assert report.mismatches == uncapped[:MISMATCH_RECORD_LIMIT]
