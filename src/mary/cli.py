@@ -71,10 +71,14 @@ EMIT_BLOCK_LINES = 8192
 
 
 class JobConfig(_Record):
-    """Validated run configuration shared by all subcommands."""
+    """Validated run configuration shared by all subcommands.
+
+    truncation is the --N bound: the degree for expand, the residue sweep
+    limit for verify, None for the other commands.
+    """
 
     __slots__ = ("command", "m", "colours", "variant", "span", "truncation", "fmt", "jobs",
-                 "probe", "use_enum", "residue_limit")
+                 "probe", "use_enum")
 
     def __init__(
         self,
@@ -88,10 +92,8 @@ class JobConfig(_Record):
         jobs: int = 1,
         probe: bool = False,
         use_enum: bool = False,
-        residue_limit: int = RESIDUE_SWEEP_LIMIT,
     ) -> None:
-        values = (command, m, colours, variant, span, truncation, fmt, jobs, probe, use_enum,
-                  residue_limit)
+        values = (command, m, colours, variant, span, truncation, fmt, jobs, probe, use_enum)
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -116,7 +118,6 @@ class JobConfig(_Record):
         jobs = getattr(ns, "jobs", 1)
         if jobs < 1:
             raise ValueError(f"--jobs must be positive, got {jobs}")
-        residue_limit = truncation if ns.command == "verify" and truncation is not None else RESIDUE_SWEEP_LIMIT
         if ns.command == "count":
             _require_terms("--n/--range", span[1] + 1)
         elif ns.command == "residue":
@@ -126,7 +127,9 @@ class JobConfig(_Record):
                 truncation = m ** 4
             _require_terms("--N (default m**4)", truncation + 1)
         elif ns.command == "verify":
-            _require_terms("--N", residue_limit + 1)
+            if truncation is None:
+                truncation = RESIDUE_SWEEP_LIMIT
+            _require_terms("--N", truncation + 1)
             # the theorem checks expand to degree m**4
             top_m = m if m is not None else max(GRID_MODULI)
             _require_terms(f"--m {top_m} (degree m**4)", top_m ** 4 + 1)
@@ -141,7 +144,6 @@ class JobConfig(_Record):
             jobs=jobs,
             probe=getattr(ns, "probe", False),
             use_enum=getattr(ns, "enum", False),
-            residue_limit=residue_limit,
         )
 
 
@@ -443,81 +445,58 @@ def default_grid(moduli=GRID_MODULI, *, failing: bool = False) -> list[Partition
     return points
 
 
-# variant -> (exact series, its checks).  The series takes the point and a
-# degree.  Each check is (kind, oracle, formula, first n compared): an oracle
-# takes the variant's exact series reduced mod m to degree max(residue sweep
-# limit, m**4) and returns its slice of it, of the type its formula returns; a
-# formula takes the point, the limit and whether to enforce the hypothesis.
-# The lambdas look their callees up when called, so a module-level name
-# replaced at run time (by a tracer, say) is the one used.
-CHECKS = {
-    "b": (
-        lambda prob, degree: count_b_series(prob, degree),
-        (
-            ("corollary-b",
-             lambda reduced, prob, limit: reduced[:limit + 1],
-             lambda prob, limit, enforce: residues_b(prob, limit, enforce_hypothesis=enforce),
-             0),
-            ("theorem-b",
-             lambda reduced, prob, limit: tuple(islice(reduced, prob.m ** 4 + 1)),
-             lambda prob, limit, enforce: expand_b_theorem(
-                 prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
-             0),
-        ),
-    ),
-    "c": (
-        lambda prob, degree: count_c_series(prob, degree),
-        (
-            ("corollary-c",
-             lambda reduced, prob, limit: reduced[:limit + 1],
-             lambda prob, limit, enforce: residues_c(prob, limit, enforce_hypothesis=enforce),
-             1),  # the gap-free formula covers n >= 1 only
-            ("theorem-c",
-             # the identity is stated for 1 + sum c(n) q^n, as in expand_c_product
-             lambda reduced, prob, limit: (1, *islice(reduced, 1, prob.m ** 4 + 1)),
-             lambda prob, limit, enforce: expand_c_theorem(
-                 prob, prob.m ** 4, enforce_hypothesis=enforce).coeffs,
-             0),
-        ),
-    ),
-}
-
-
 def _verify_cell(task: tuple) -> list[tuple]:
     """Run both checks of one (grid point, variant).  Must stay picklable.
 
     The variant's exact series is built once, to the larger of the residue
-    sweep limit and m**4, and reduced mod m in one pass; each check reads
-    its slice of it and still calls its own formula.  Returns one (checked,
-    matched, mismatches) per check.  A check's slices are compared in one
-    equality and walked only when they differ.  Only the first
-    MISMATCH_RECORD_LIMIT mismatches of a check become records: n ascends
-    within a check, so these are its only candidates for the report's
-    sorted top MISMATCH_RECORD_LIMIT.
+    sweep limit and m**4, and reduced mod m in one pass.  The corollary
+    compares its first limit + 1 terms with the digit formula, the theorem
+    its first m**4 + 1 terms with the theorem's expansion.  Returns one
+    (checked, matched, mismatches) per check.
     """
-    variant, m, explicit, tail, residue_limit, probe = task
+    variant, m, explicit, tail, limit, probe = task
     prob = PartitionProblem(m, ColourSpec(explicit, tail))
-    series_of, checks = CHECKS[variant]
-    reduced = list(map(m.__rmod__, series_of(prob, max(residue_limit, m ** 4)).coeffs))
-    results = []
-    for kind, oracle_of, formula_of, start in checks:
-        oracle = oracle_of(reduced, prob, residue_limit)[start:]
-        formula = formula_of(prob, residue_limit, not probe)[start:]
-        checked = len(oracle)
-        mismatches = []
-        if oracle == formula:
-            matched = checked
-        else:
-            matched = sum(map(operator.eq, oracle, formula))
-            spec_text = str(prob.colours)
-            for n, (want, got) in enumerate(zip(oracle, formula), start):
-                if want != got:
-                    mismatches.append({"check": kind, "m": m, "k": spec_text, "n": n,
-                                       "oracle": want, "formula": got})
-                    if len(mismatches) == MISMATCH_RECORD_LIMIT:
-                        break
-        results.append((checked, matched, mismatches))
-    return results
+    degree = m ** 4
+    # module globals looked up per call: perfbench's tracer times them by replacing them
+    if variant == "b":
+        exact, corollary, theorem = count_b_series, residues_b, expand_b_theorem
+    else:
+        exact, corollary, theorem = count_c_series, residues_c, expand_c_theorem
+    reduced = list(map(m.__rmod__, exact(prob, max(limit, degree)).coeffs))
+    # theorem-c is stated for 1 + sum c(n) q^n, as in expand_c_product
+    head = (1 if variant == "c" else reduced[0], *islice(reduced, 1, degree + 1))
+    # the gap-free formula covers n >= 1 only
+    start = 1 if variant == "c" else 0
+    return [
+        _compare("corollary-" + variant, prob, start, reduced[:limit + 1],
+                 corollary(prob, limit, enforce_hypothesis=not probe)),
+        _compare("theorem-" + variant, prob, 0, head,
+                 theorem(prob, degree, enforce_hypothesis=not probe).coeffs),
+    ]
+
+
+def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> tuple:
+    """(checked, matched, mismatches) of one check, from n = start on.
+
+    The two sides are compared in one equality and walked only when they
+    differ.  Only the first MISMATCH_RECORD_LIMIT mismatches become records:
+    n ascends within a check, so these are its only candidates for the
+    report's sorted top MISMATCH_RECORD_LIMIT.
+    """
+    oracle, formula = oracle[start:], formula[start:]
+    checked = len(oracle)
+    mismatches = []
+    if oracle == formula:
+        return checked, checked, mismatches
+    matched = sum(map(operator.eq, oracle, formula))
+    spec_text = str(prob.colours)
+    for n, (want, got) in enumerate(zip(oracle, formula), start):
+        if want != got:
+            mismatches.append({"check": kind, "m": prob.m, "k": spec_text, "n": n,
+                               "oracle": want, "formula": got})
+            if len(mismatches) == MISMATCH_RECORD_LIMIT:
+                break
+    return checked, matched, mismatches
 
 
 def run_verification(cfg: JobConfig) -> VerifyReport:
@@ -537,9 +516,9 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
 
     tasks = [
         (variant, prob.m, prob.colours.explicit, prob.colours.tail,
-         cfg.residue_limit, cfg.probe)
+         cfg.truncation, cfg.probe)
         for prob in points
-        for variant in CHECKS
+        for variant in ("b", "c")
     ]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: the pool's modules would add to every other run's start-up
@@ -555,7 +534,7 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
         grid={
             "moduli": list(moduli),
             "points": len(points),
-            "residue_limit": cfg.residue_limit,
+            "residue_limit": cfg.truncation,
             "probe": cfg.probe,
             "specs": [f"{p.m}:{p.colours}" for p in points],
         },

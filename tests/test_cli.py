@@ -19,8 +19,10 @@ from mary.cli import (
     GRID_MODULI,
     MAX_TERMS,
     MISMATCH_RECORD_LIMIT,
+    RESIDUE_SWEEP_LIMIT,
     JobConfig,
     _verify_cell,
+    build_parser,
     default_grid,
     grid_colour_specs,
     main,
@@ -289,14 +291,14 @@ class TestGrid:
             assert any(s.explicit == (1,) and s.tail == 1 for s in specs)
 
     def test_run_verification_report_shape(self):
-        cfg = JobConfig(command="verify", m=3, residue_limit=30)
+        cfg = JobConfig(command="verify", m=3, truncation=30)
         report = run_verification(cfg)
         assert report.checked == report.matched + report.mismatched
         assert report.mismatched == 0
         assert report.grid["residue_limit"] == 30
 
     def test_probe_mismatch_records_are_sorted(self):
-        cfg = JobConfig(command="verify", m=9, residue_limit=60, probe=True)
+        cfg = JobConfig(command="verify", m=9, truncation=60, probe=True)
         report = run_verification(cfg)
         assert report.mismatches
         keys = [(r["m"], r["k"], r["n"], r["check"]) for r in report.mismatches]
@@ -304,50 +306,68 @@ class TestGrid:
 
     @pytest.mark.parametrize("failing", [False, True])
     def test_shared_oracle_slices_equal_the_separate_oracles(self, monkeypatch, failing):
-        # each check's slice of the point's one reduced series, against the
-        # oracle the check would build on its own
-        separate = {
-            "corollary-b": lambda prob, limit: [c % prob.m for c in
-                                                count_b_series(prob, limit).coeffs],
-            "corollary-c": lambda prob, limit: [c % prob.m for c in
-                                                count_c_series(prob, limit).coeffs],
-            "theorem-b": lambda prob, limit: expand_b_product(prob, prob.m ** 4).coeffs,
-            "theorem-c": lambda prob, limit: expand_c_product(prob, prob.m ** 4).coeffs,
-        }
-        slices = {}
+        # each check's slice of the cell's one reduced series, against the
+        # oracle the check would build on its own: with the formulas replaced
+        # by the separate oracles, every check matches in full
+        def corollary_of(count_series):
+            return lambda prob, limit, enforce_hypothesis: [
+                c % prob.m for c in count_series(prob, limit).coeffs]
 
-        def recorded(kind, oracle_of):
-            def oracle(reduced, prob, limit):
-                slices[kind] = oracle_of(reduced, prob, limit)
-                return slices[kind]
-            return oracle
+        def theorem_of(expand_product):
+            return lambda prob, degree, enforce_hypothesis: expand_product(prob, degree)
 
-        # the formulas are replaced by the separate oracles, so every check matches
-        monkeypatch.setattr(cli, "CHECKS", {
-            variant: (series_of, tuple(
-                (kind, recorded(kind, oracle_of),
-                 lambda prob, limit, enforce, kind=kind: separate[kind](prob, limit), start)
-                for kind, oracle_of, _, start in checks))
-            for variant, (series_of, checks) in cli.CHECKS.items()
-        })
+        monkeypatch.setattr(cli, "residues_b", corollary_of(count_b_series))
+        monkeypatch.setattr(cli, "residues_c", corollary_of(count_c_series))
+        monkeypatch.setattr(cli, "expand_b_theorem", theorem_of(expand_b_product))
+        monkeypatch.setattr(cli, "expand_c_theorem", theorem_of(expand_c_product))
         for prob in default_grid(failing=failing):
-            for variant, (_, checks) in cli.CHECKS.items():
-                results = _verify_cell((variant, prob.m, prob.colours.explicit,
-                                        prob.colours.tail, 200, failing))
-                for (kind, _, _, start), (checked, matched, mismatches) in zip(checks, results):
-                    assert slices[kind] == separate[kind](prob, 200), (prob, kind)
-                    assert checked == matched == len(slices[kind]) - start
-                    assert mismatches == []
+            for variant, start in (("b", 0), ("c", 1)):  # the gap-free corollary starts at n = 1
+                corollary, theorem = _verify_cell((variant, prob.m, prob.colours.explicit,
+                                                   prob.colours.tail, 200, failing))
+                assert corollary == (201 - start, 201 - start, []), (prob, variant)
+                assert theorem == (prob.m ** 4 + 1, prob.m ** 4 + 1, []), (prob, variant)
+
+    def test_cells_call_the_module_names_at_call_time(self, monkeypatch):
+        # perfbench's tracer times these layers by replacing the names in
+        # mary.cli, so each cell must look them up when it runs
+        names = ("count_b_series", "count_c_series", "expand_b_theorem", "expand_c_theorem")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        report = run_verification(JobConfig.from_args(
+            build_parser().parse_args(["verify", "--m", "3", "--N", "30"])))
+        assert report.grid["points"] == 14
+        assert calls == dict.fromkeys(names, 14)
+
+    @pytest.mark.parametrize("argv, truncation", [
+        (["verify"], RESIDUE_SWEEP_LIMIT),
+        (["verify", "--N", "30"], 30),
+        (["expand", "--m", "3", "--k", "1"], 81),
+    ])
+    def test_n_default_resolves_per_command(self, argv, truncation):
+        assert JobConfig.from_args(build_parser().parse_args(argv)).truncation == truncation
+
+    def test_default_sweep_limit_in_summary(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m", "3", "--k", "1")
+        assert code == EXIT_OK
+        assert "residue_limit=2000" in out.splitlines()[0]
 
     def test_capped_records_are_the_sorted_head(self, monkeypatch):
         cfg = JobConfig(command="verify", m=2, colours=cli.ColourSpec.parse("3"),
-                        residue_limit=600, probe=True)
+                        truncation=600, probe=True)
         report = run_verification(cfg)
         (_, _, capped), _ = _verify_cell(("c", 2, (3,), 3, 600, True))  # corollary, theorem
         assert len(capped) == MISMATCH_RECORD_LIMIT
         monkeypatch.setattr(cli, "MISMATCH_RECORD_LIMIT", 10**9)
         uncapped = []
-        for variant in cli.CHECKS:
+        for variant in ("b", "c"):
             for _, _, records in _verify_cell((variant, 2, (3,), 3, 600, True)):
                 uncapped.extend(records)
         uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))

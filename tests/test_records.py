@@ -32,8 +32,8 @@ RECORDS = [
     (GapFreeDecomposition, dict(n_prime=7, d0=2, n=9, base=3, s=2, t=2, digits=(1,)), 7,
      (8, 1, 9, 3, 2, 2, (1,))),
     (JobConfig, dict(command="count", m=None, colours=None, variant="b", span=None,
-                     truncation=None, fmt="text", jobs=1, probe=False, use_enum=False,
-                     residue_limit=2000), 1, ("count", 3, SPEC)),
+                     truncation=None, fmt="text", jobs=1, probe=False, use_enum=False),
+     1, ("count", 3, SPEC)),
     (VerifyReport, dict(grid={"points": 1}, checked=0, matched=0, mismatched=0,
                         skipped_hypothesis=0, mismatches=[], wall_time=0.0), 1,
      ({"points": 1}, 4, 3, 1)),
