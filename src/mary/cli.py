@@ -462,7 +462,7 @@ def _verify_cell(task: tuple) -> list[tuple]:
         exact, corollary, theorem = count_b_series, residues_b, expand_b_theorem
     else:
         exact, corollary, theorem = count_c_series, residues_c, expand_c_theorem
-    reduced = list(map(m.__rmod__, exact(prob, max(limit, degree)).coeffs))
+    reduced = [c % m for c in exact(prob, max(limit, degree)).coeffs]
     # theorem-c is stated for 1 + sum c(n) q^n, as in expand_c_product
     head = (1 if variant == "c" else reduced[0], *islice(reduced, 1, degree + 1))
     # the gap-free formula covers n >= 1 only
@@ -545,7 +545,7 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
         report.matched += matched
         report.mismatched += checked - matched
         report.mismatches.extend(mismatches)
-    report.mismatches.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
+    report.mismatches.sort(key=operator.itemgetter("m", "k", "n", "check"))
     del report.mismatches[MISMATCH_RECORD_LIMIT:]
     return report
 

@@ -15,7 +15,7 @@ from math import comb
 
 from . import series
 from .counting import PartitionProblem, count_b_series, count_c_series
-from .series import CoprimalityError, ModSeries, _Record, coprimality_witness
+from .series import CoprimalityError, ModSeries, _kron, _Record, coprimality_witness
 
 __all__ = [
     "Digits",
@@ -226,9 +226,10 @@ def residues_b(
 
     The formula is a product of one digit-row entry per base-m digit, so
     the residues of 0..m^(j+1) - 1 are the Kronecker product of the row at
-    position j with those of 0..m^j - 1.  The hypothesis is checked once,
-    through the top digit index of limit, and fails exactly as the first
-    failing residue_b call would.
+    position j with those of 0..m^j - 1: one _kron step per position, for
+    m <= 256 one byte-table translate per row entry.  The hypothesis is
+    checked once, through the top digit index of limit, and fails exactly
+    as the first failing residue_b call would.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -240,9 +241,10 @@ def residues_b(
     power = m
     for j in range(1, top + 1):
         row = _digit_row(prob, j, min(m, limit // power + 1))
-        acc = [r * a % m for r in row for a in acc][: limit + 1]
+        acc = _kron(row, acc, 0, m)[: limit + 1]
         power *= m
-    return acc
+    # _kron's bytearray for m <= 256; a list already past that
+    return list(acc) if m <= 256 else acc
 
 
 def decompose_gapfree(n_prime: int, base: int) -> GapFreeDecomposition:
@@ -339,19 +341,18 @@ def residues_c(
     body = [0]
     for p in range(top, 0, -1):
         size = len(tails[p - 1])
-        # T_p[d - 1] for the nonzero digits d that occur
-        row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size) - 1)]
         eps = p % 2
         sign = 1 if eps else -1
-        next_body = []
-        for u, f in zip(tails[p], body):
-            next_body.append(f)
-            next_body += [(eps + sign * r * u) % m for r in row]
+        # a placeholder, then sign_p * T_p[d - 1] for the nonzero digits d that occur
+        row = [0, *(sign * (v - 1) % m for v in _digit_row(prob, p, min(m, size) - 1))]
+        next_body = _kron(tails[p], row, eps, m)
+        # the digit-0 column is F_{p+1}
+        next_body[:: len(row)] = body
         body = next_body[:size]
     # lead(d_0) for d_0 = m - 1, ..., 1, 0, the order n' ascends within a block
     lead = _digit_row(prob, 0, min(m, limit + 1))
     lead = lead[1:] + lead[:1]
-    return [0] + [c * f % m for f in body[1:] for c in lead][:limit]
+    return [0, *_kron(body[1:], lead, 0, m)[:limit]]
 
 
 def expand_b_product(prob: PartitionProblem, truncation: int) -> ModSeries:
@@ -413,10 +414,10 @@ def expand_c_theorem(
         raise ValueError("truncation must be nonnegative")
     if enforce_hypothesis:
         _require_hypothesis(m, _bottoms(prob)[1], to_digits(truncation, m).top_index + 1)
-    lead = _digit_row(prob, 0, m + 1)[1:]
-    tail = _tail_sums(prob, truncation)[0]
-    body = [c * u % m for u in tail for c in lead]
-    return ModSeries(m, truncation, [1] + body[:truncation])
+    # entries l = 1..m; below m the truncation ends the first block
+    lead = _digit_row(prob, 0, min(m, truncation) + 1)[1:]
+    body = _kron(_tail_sums(prob, truncation)[0], lead, 0, m)
+    return ModSeries(m, truncation, [1, *body[:truncation]])
 
 
 def _require_hypothesis(m: int, failure: tuple[int, int] | None, max_index: int) -> None:
@@ -457,7 +458,7 @@ def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:
     return [comb(k + d, k) % prob.m for d in range(length)]
 
 
-def _tail_sums(prob: PartitionProblem, top_n: int) -> list[list[int]]:
+def _tail_sums(prob: PartitionProblem, top_n: int) -> list[bytearray | list[int]]:
     """The gap-free tail sums U_1, ..., U_{top+1}, top the power index of top_n.
 
     Entry p - 1 is U_p over x in 0..top_n // m^p: the sum over i >= p - 1
@@ -466,14 +467,15 @@ def _tail_sums(prob: PartitionProblem, top_n: int) -> list[list[int]]:
 
         U_p(x) = 1 + T_p[x % m] * U_{p+1}(x // m),
 
-    from U_{top+1} = [1]; U_p(0) = 1 needs no special case because
-    T_p[0] = 0.
+    one _kron step per position, from U_{top+1} = [1]; U_p(0) = 1 needs no
+    special case because T_p[0] = 0.  Below U_{top+1} the entries are
+    bytearrays when m <= 256, and lists otherwise.
     """
     m = prob.m
     tails = [[1]]
     for p in range(to_digits(top_n, m).top_index, 0, -1):
         size = top_n // m**p + 1
         row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size))]
-        tails.append([(1 + r * u) % m for u in tails[-1] for r in row][:size])
+        tails.append(_kron(tails[-1], row, 1, m)[:size])
     tails.reverse()
     return tails

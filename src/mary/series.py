@@ -10,6 +10,7 @@ in [0, m - 1].
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, isqrt
 
 __all__ = [
@@ -306,3 +307,39 @@ def reduce(series: ExactSeries, modulus: int) -> ModSeries:
 def _require_positive(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
+# room for every table of two moduli up to 256, with add 0 and 1
+@lru_cache(maxsize=1024)
+def _byte_table(mul: int, add: int, m: int) -> bytes:
+    """(add + mul * y) % m for y in 0..255, a bytes.translate table for m <= 256."""
+    # a step of mul + m, never 0, gives the same residues
+    return bytes(map(m.__rmod__, range(add, add + 256 * (mul + m), mul + m)))
+
+
+def _kron(outer, inner, add: int, m: int) -> bytearray | list[int]:
+    """(add + x * y) % m for x in outer and y in inner, outer index major.
+
+    With add = 0 these are the coefficients of outer(q^w) * inner(q) over
+    Z_m, w = len(inner): the digit-polynomial products of the congruence
+    sweeps.  Both sides hold residues mod m.  For m <= 256 they fit in a
+    byte: each entry of the shorter side multiplies the whole longer side
+    in one bytes.translate, and the result is a bytearray.  Larger m take
+    a list.
+    """
+    if m > 256:
+        if add:
+            return [(add + x * y) % m for x in outer for y in inner]
+        return [x * y % m for x in outer for y in inner]
+    if len(outer) <= len(inner):
+        inner = bytes(inner)
+        out = bytearray()
+        for x in outer:
+            out += inner.translate(_byte_table(x, add, m))
+        return out
+    outer = bytes(outer)
+    width = len(inner)
+    out = bytearray(len(outer) * width)
+    for j, y in enumerate(inner):
+        out[j::width] = outer.translate(_byte_table(y, add, m))
+    return out

@@ -39,6 +39,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for `python -m mary` children."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 class TestCount:
     def test_text_table(self, capsys):
         code, out, _ = run(capsys, "count", "--m", "3", "--k", "2,1", "--variant", "b",
@@ -150,6 +156,19 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "--m", "2", "--k", "1", "--format", "json")
         assert code == EXIT_OK
         assert len(json.loads(out)) == 17
+
+    @pytest.mark.parametrize("m", ["1000000000000000003", "100000007"])
+    def test_gapfree_at_a_huge_base_answers_at_once(self, m):
+        # a child process, so that a hang fails at the timeout instead of stalling the suite
+        done = subprocess.run(
+            [sys.executable, "-m", "mary", "expand", "--m", m, "--k", "1", "--variant", "c",
+             "--N", "10", "--format", "json"],
+            env=child_env(), capture_output=True, text=True, timeout=2,
+        )
+        assert done.returncode == EXIT_OK
+        records = json.loads(done.stdout)
+        assert len(records) == 11
+        assert all(r["match"] is True for r in records)
 
     def test_hypothesis_failure_is_config_error(self, capsys):
         code, _, err = run(capsys, "expand", "--m", "2", "--k", "3", "--N", "8")
@@ -580,8 +599,7 @@ class TestColumnarEmit:
     (10, False),
 ])
 def test_reader_closing_early_exits_141_quietly(last, reads_header):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = child_env()
     # stdout block-buffered, as Python sets it up for a pipe by default
     env.pop("PYTHONUNBUFFERED", None)
     read_fd, write_fd = os.pipe()
@@ -606,8 +624,7 @@ def test_reader_closing_early_exits_141_quietly(last, reads_header):
 
 def test_import_leaves_unused_modules_unloaded():
     # every command is a fresh process, so what the import loads is paid on each run
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = child_env()
     code = ("import sys; before = set(sys.modules); import mary.cli; "
             "print(*sorted(set(sys.modules) - before))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

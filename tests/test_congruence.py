@@ -318,6 +318,12 @@ class TestExpansions:
         assert len(expand_b_theorem(prob, 8, enforce_hypothesis=False).coeffs) == 9
         assert len(expand_c_theorem(prob, 8, enforce_hypothesis=False).coeffs) == 9
 
+    @pytest.mark.parametrize("degree", [0, 1, 10])
+    def test_gapfree_identity_at_a_huge_prime_base(self, degree):
+        # the lead row stops at the truncation; at m entries it would never finish
+        prob = problem(10**18 + 3, "2,1;3")
+        assert expand_c_theorem(prob, degree) == expand_c_product(prob, degree)
+
     def test_product_sides_need_no_hypothesis(self):
         # reductions of exact counts are defined for any colour spec
         prob = problem(2, "3")
@@ -485,6 +491,100 @@ class TestBatchResidues:
             expand_c_theorem(prob, degree)
         assert getattr(info.value, "prime", None) == getattr(expected, "prime", None)
         assert getattr(info.value, "index", None) == getattr(expected, "index", None)
+
+
+def comprehension_row(prob, index, length):
+    return [reference_entry(prob, index, d) for d in range(length)]
+
+
+def comprehension_residues_b(prob, limit):
+    """residues_b without the hypothesis, one list comprehension per Kronecker step."""
+    m = prob.m
+    acc = comprehension_row(prob, 0, min(m, limit + 1))
+    power, j = m, 1
+    while power <= limit:
+        row = comprehension_row(prob, j, min(m, limit // power + 1))
+        acc = [r * a % m for r in row for a in acc][: limit + 1]
+        power, j = power * m, j + 1
+    return acc
+
+
+def comprehension_tail_sums(prob, top_n):
+    m = prob.m
+    tails = [[1]]
+    for p in range(to_digits(top_n, m).top_index, 0, -1):
+        size = top_n // m**p + 1
+        row = [(v - 1) % m for v in comprehension_row(prob, p, min(m, size))]
+        tails.append([(1 + r * u) % m for u in tails[-1] for r in row][:size])
+    tails.reverse()
+    return tails
+
+
+def comprehension_residues_c(prob, limit):
+    """residues_c without the hypothesis, the F table built block by block."""
+    if limit == 0:
+        return [0]
+    m = prob.m
+    top_n = -(-limit // m) * m
+    tails = comprehension_tail_sums(prob, top_n)
+    body = [0]
+    for p in range(to_digits(top_n, m).top_index, 0, -1):
+        size = len(tails[p - 1])
+        row = [(v - 1) % m for v in comprehension_row(prob, p, min(m, size) - 1)]
+        eps = p % 2
+        sign = 1 if eps else -1
+        next_body = []
+        for u, f in zip(tails[p], body):
+            next_body.append(f)
+            next_body += [(eps + sign * r * u) % m for r in row]
+        body = next_body[:size]
+    lead = comprehension_row(prob, 0, min(m, limit + 1))
+    lead = lead[1:] + lead[:1]
+    return [0] + [c * f % m for f in body[1:] for c in lead][:limit]
+
+
+def comprehension_c_theorem(prob, truncation):
+    """expand_c_theorem's coefficients without the hypothesis, as comprehensions."""
+    m = prob.m
+    lead = comprehension_row(prob, 0, m + 1)[1:]
+    body = [c * u % m for u in comprehension_tail_sums(prob, truncation)[0] for c in lead]
+    return [1] + body[:truncation]
+
+
+class TestDigitKernels:
+    """The byte-table path (m <= 256) and the list path (m > 256) of the digit products."""
+
+    @pytest.mark.parametrize("m", [2, 3, 9, 251, 255, 256, 257, 1000])
+    def test_sweeps_and_expansions_equal_the_comprehensions(self, m):
+        rng = random.Random(m)
+        specs = [ColourSpec((3, 2), 1),
+                 ColourSpec(tuple(rng.randint(1, 9) for _ in range(3)), rng.randint(1, 9))]
+        for spec in specs:
+            prob = PartitionProblem(m, spec)
+            for limit in sorted({0, 1, 2, m - 1, m, m + 1, rng.randint(0, 3000)}):
+                b = comprehension_residues_b(prob, limit)
+                assert residues_b(prob, limit, enforce_hypothesis=False) == b, (spec, limit)
+                assert residues_c(prob, limit, enforce_hypothesis=False) == \
+                    comprehension_residues_c(prob, limit), (spec, limit)
+                assert expand_b_theorem(prob, limit, enforce_hypothesis=False).coeffs == \
+                    tuple(b), (spec, limit)
+                assert expand_c_theorem(prob, limit, enforce_hypothesis=False).coeffs == \
+                    tuple(comprehension_c_theorem(prob, limit)), (spec, limit)
+
+    @pytest.mark.parametrize("m", [2, 256, 257])
+    def test_return_types(self, m):
+        # a bytearray never equals a list: leaked into verify, every check
+        # would miss the equality fast path and walk the mismatches
+        prob = PartitionProblem(m, ColourSpec((3, 2), 1))
+        for limit in (0, 1, m + 1, m * m + 2):
+            for sweep in (residues_b, residues_c):
+                values = sweep(prob, limit, enforce_hypothesis=False)
+                assert type(values) is list, (sweep, limit)
+                assert all(type(v) is int for v in values), (sweep, limit)
+            for theorem in (expand_b_theorem, expand_c_theorem):
+                coeffs = theorem(prob, limit, enforce_hypothesis=False).coeffs
+                assert type(coeffs) is tuple, (theorem, limit)
+                assert all(type(c) is int for c in coeffs), (theorem, limit)
 
 
 def reference_check_hypothesis(prob, max_index):
