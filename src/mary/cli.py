@@ -285,8 +285,18 @@ def _emit(columns: Sequence[Sequence], fmt: str, fields: tuple[str, ...]) -> Non
     if fmt == "csv":
         import csv
     elif fmt == "text":
-        widths = [max(len(name), _text_width(column)) for name, column in zip(fields, columns[:-1])]
+        texts = list(map(_texts, columns))
+        widths = [max(len(name), max(map(len, cells), default=0))
+                  for name, cells in zip(fields, texts[:-1])]
         line = "  ".join([*(f"%-{w}s" for w in widths), "%s"])
+        # only an empty or blank-ended last cell, or a cell holding a
+        # newline, can leave blanks at the end of a line.  Cells are joined
+        # a block at a time: a whole column joined would raise peak memory.
+        ends = [fields[-1], *texts[-1]]
+        ragged = (not all(ends) or any(map(str.endswith, ends, repeat(" ")))
+                  or any("\n" in "".join(cells[i:i + EMIT_BLOCK_LINES])
+                         for cells in (fields, *texts)
+                         for i in range(0, len(cells), EMIT_BLOCK_LINES)))
     rows = len(columns[0])
     # row -1 is the header
     for start in range(-1, rows, EMIT_BLOCK_LINES):
@@ -305,24 +315,24 @@ def _emit(columns: Sequence[Sequence], fmt: str, fields: tuple[str, ...]) -> Non
         for i, column in enumerate(columns, len(head)):
             cells[i::k] = column[lo:hi]
         text = "\n".join(repeat(line, len(cells) // k)) % tuple(cells) + "\n"
-        if " \n" in text:
-            # only an empty last cell leaves blanks at the end of a line
+        if ragged and " \n" in text:
             text = "\n".join(map(str.rstrip, text.split("\n")))
         sys.stdout.write(text)
 
 
-def _text_width(column: Sequence) -> int:
-    """The length of the widest str() of a column's cells, in C-level passes."""
+def _texts(column: Sequence) -> Sequence[str]:
+    """Enough of the str() of a column's cells, in C-level passes, to find
+    its widest cell and any empty, blank-ended or multi-line one."""
     if not column:
-        return 0
+        return ()
     if isinstance(column, range):
         # a range's widest number is at one of its ends
-        return max(len(str(column[0])), len(str(column[-1])))
+        return str(column[0]), str(column[-1])
     if all(map(isinstance, column, repeat(str))):
-        return max(map(len, column))
+        return column
     # one str() per distinct value; set() would fold True into 1, so no
     # table mixes bools with other ints in one column
-    return max(map(len, map(str, set(column))))
+    return list(map(str, set(column)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +485,11 @@ def _verify_cell(task: tuple) -> list[tuple]:
     ]
 
 
+def _verify_batch(batch: list[tuple]) -> list[list[tuple]]:
+    """_verify_cell of each task of one worker's batch, in batch order."""
+    return [_verify_cell(task) for task in batch]
+
+
 def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> tuple:
     """(checked, matched, mismatches) of one check, from n = start on.
 
@@ -525,8 +540,26 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool starts all its workers at once; past one per task they idle
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
-            cells = list(pool.map(_verify_cell, tasks))
+        workers = min(cfg.jobs, len(tasks))
+        # one batch per worker, so each pays one round trip, not one per
+        # task.  Longest series first, each to the least-loaded batch: the
+        # batches then end within one task's cost of each other.  At equal
+        # length c goes before b, being the costlier variant, so that equal
+        # loads do not deal every b task to one batch and every c to another.
+        queue = sorted(((max(limit, m ** 4), variant, i)
+                        for i, (variant, m, _, _, limit, _) in enumerate(tasks)), reverse=True)
+        batches = [[] for _ in range(workers)]
+        loads = [0] * workers
+        for cost, _, i in queue:
+            least = loads.index(min(loads))
+            batches[least].append(i)
+            loads[least] += cost
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_verify_batch, [[tasks[i] for i in batch] for batch in batches]))
+        cells = [None] * len(tasks)
+        for batch, results in zip(batches, done):
+            for i, cell in zip(batch, results):
+                cells[i] = cell
     else:
         cells = [_verify_cell(task) for task in tasks]
 

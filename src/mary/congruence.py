@@ -388,8 +388,10 @@ def expand_c_product(prob: PartitionProblem, truncation: int) -> ModSeries:
     verified is stated for the series 1 + sum_{n>=1} c(n) q^n, so the
     constant is set to 1 here.
     """
-    reduced = series.reduce(count_c_series(prob, truncation), prob.m)
-    return ModSeries(prob.m, truncation, (1,) + reduced.coeffs[1:])
+    m = prob.m
+    reduced = [c % m for c in count_c_series(prob, truncation).coeffs]
+    reduced[0] = 1
+    return ModSeries(m, truncation, reduced)
 
 
 def expand_c_theorem(

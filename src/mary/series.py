@@ -171,9 +171,16 @@ class ModSeries(_Record):
             raise ValueError(
                 f"expected {truncation_degree + 1} coefficients, got {len(coeffs)}"
             )
-        for c in coeffs:
-            if not 0 <= c < modulus:
-                raise ValueError(f"coefficient {c} is not a canonical residue mod {modulus}")
+        try:
+            # bytes() takes only ints in 0..255, and deleting the residues
+            # 0..modulus-1 leaves nothing exactly when every one is canonical
+            canonical = modulus <= 256 and not bytes(coeffs).translate(None, bytes(range(modulus)))
+        except (TypeError, ValueError):
+            canonical = False
+        if not canonical:
+            for c in coeffs:
+                if not 0 <= c < modulus:
+                    raise ValueError(f"coefficient {c} is not a canonical residue mod {modulus}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "truncation_degree", truncation_degree)
         object.__setattr__(self, "coeffs", coeffs)

@@ -30,7 +30,7 @@ from mary.cli import (
 )
 from mary import check_hypothesis
 from mary.congruence import expand_b_product, expand_c_product
-from mary.counting import count_b_series, count_c_series
+from mary.counting import ColourSpec, count_b_series, count_c_series
 
 
 def run(capsys, *argv):
@@ -264,6 +264,65 @@ class TestVerify:
         assert json.loads(out)["grid"]["points"] == points
         # no task, no pool
         assert started == ([] if workers is None else [workers])
+
+    # --N 30 leaves m**4 the longer series from m = 3 on: tasks of five lengths
+    @pytest.mark.parametrize("argv", [("--N", "30"), ("--m", "9", "--probe", "--N", "300"),
+                                      ("--m", "5", "--k", "2,3;1")])
+    def test_pool_gets_one_balanced_batch_per_worker(self, capsys, monkeypatch, argv):
+        import concurrent.futures
+
+        sent = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, batches):
+                sent.append((self.max_workers, batches))
+                return map(fn, batches)
+
+        def cost(task):
+            _, m, _, _, limit, _ = task
+            return max(limit, m ** 4)
+
+        serial = run(capsys, "verify", *argv, "--format", "json", "--jobs", "1")
+        points = json.loads(serial[1])["grid"]["specs"]
+        tasks = sorted((variant, int(m), k) for m, k in (spec.split(":") for spec in points)
+                       for variant in "bc")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for jobs in (2, 3, 64):
+            sent.clear()
+            pooled = run(capsys, "verify", *argv, "--format", "json", "--jobs", str(jobs))
+            # results go back in task order: the same report as one worker's
+            assert pooled[:2] == serial[:2]
+
+            (workers, batches), = sent
+            assert workers == min(jobs, len(tasks)) == len(batches)
+            sent_tasks = [(variant, m, str(ColourSpec(explicit, tail)))
+                          for batch in batches for variant, m, explicit, tail, _, _ in batch]
+            assert sorted(sent_tasks) == tasks
+            loads = [sum(map(cost, batch)) for batch in batches]
+            assert max(loads) <= min(loads) + max(cost(task) for batch in batches for task in batch)
+            if workers == 2 and len(tasks) > 2:
+                # equal lengths are not dealt one variant to each batch
+                assert all({task[0] for task in batch} == {"b", "c"} for batch in batches)
+
+    @pytest.mark.parametrize("argv", [("--m", "5"), ("--m", "9", "--probe", "--N", "300")])
+    def test_report_equal_at_one_two_and_three_workers(self, argv):
+        ns = build_parser().parse_args(["verify", *argv])
+        reports = []
+        for jobs in (1, 2, 3):
+            ns.jobs = jobs
+            reports.append(run_verification(JobConfig.from_args(ns)))
+        assert reports[0].checked > 0
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
     def test_csv_is_header_only_on_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "3", "--N", "30", "--format", "csv")
@@ -567,6 +626,11 @@ class TestColumnarEmit:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n   middle             last"
         assert lines[1] == "0   x                  0"
+
+    def test_no_line_ends_in_blanks_before_a_newline_in_a_cell(self, capsys):
+        # no last cell is empty or blank-ended: only the newline can leave blanks
+        cli._emit([range(3), ["a", "b \nc", "d"], [1, 2, 3]], "text", self.FIELDS)
+        assert capsys.readouterr().out == "n  middle  last\n0  a       1\n1  b\nc    2\n2  d       3\n"
 
     @pytest.mark.parametrize("argv", [
         ("count", "--m", "3", "--k", "2,1", "--variant", "b", "--range", "0..40"),

@@ -55,6 +55,33 @@ class TestConstruction:
             ModSeries(3, 2, coeffs)
         assert str(excinfo.value) == f"coefficient {bad} is not a canonical residue mod 3"
 
+    @pytest.mark.parametrize("modulus", [2, 3, 255, 256, 257])
+    def test_canonical_check_equals_the_loop(self, modulus):
+        # the per-coefficient loop that a C-level byte check stands in for
+        # when modulus <= 256
+        def first_offender(coeffs):
+            for c in coeffs:
+                if not 0 <= c < modulus:
+                    return f"coefficient {c} is not a canonical residue mod {modulus}"
+            return None
+
+        specials = [-1, modulus, 256, 1.0, True]
+        base = [modulus - 1, 0, 1 % modulus, modulus // 2]
+        inputs = [base, [modulus - 1] * 300, [0]]
+        for x in specials:
+            for at in range(len(base) + 1):
+                inputs.append(base[:at] + [x] + base[at:])
+            for y in specials:
+                inputs.append([0, x, modulus - 1, y])
+        for coeffs in inputs:
+            expected = first_offender(coeffs)
+            if expected is None:
+                assert ModSeries(modulus, len(coeffs) - 1, coeffs).coeffs == tuple(coeffs)
+            else:
+                with pytest.raises(ValueError) as excinfo:
+                    ModSeries(modulus, len(coeffs) - 1, coeffs)
+                assert str(excinfo.value) == expected
+
     def test_modulus_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             ModSeries(1, 0, (0,))
