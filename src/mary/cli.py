@@ -151,17 +151,13 @@ class VerifyReport(_Record):
     """Aggregated outcome of a verification sweep.
 
     checked always equals matched + mismatched; skipped counts grid
-    candidates dropped by the hypothesis filter.  Wall time is reported on
-    stderr only, keeping stdout deterministic.  Unlike the other records,
-    a report is filled in after construction, so it is mutable and
-    unhashable.
+    candidates dropped by the hypothesis filter.  A report is built once,
+    when the sweep is done, and is immutable like the other records; its
+    grid dict and mismatch list make it unhashable.
     """
 
     __slots__ = ("grid", "checked", "matched", "mismatched", "skipped_hypothesis",
-                 "mismatches", "wall_time")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+                 "mismatches")
 
     def __init__(
         self,
@@ -171,15 +167,11 @@ class VerifyReport(_Record):
         mismatched: int = 0,
         skipped_hypothesis: int = 0,
         mismatches: list[dict] | None = None,
-        wall_time: float = 0.0,
     ) -> None:
-        self.grid = grid
-        self.checked = checked
-        self.matched = matched
-        self.mismatched = mismatched
-        self.skipped_hypothesis = skipped_hypothesis
-        self.mismatches = [] if mismatches is None else mismatches
-        self.wall_time = wall_time
+        values = (grid, checked, matched, mismatched, skipped_hypothesis,
+                  [] if mismatches is None else mismatches)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 def _require_terms(option: str, terms: int) -> None:
@@ -464,8 +456,8 @@ def _verify_cell(task: tuple) -> list[tuple]:
     its first m**4 + 1 terms with the theorem's expansion.  Returns one
     (checked, matched, mismatches) per check.
     """
-    variant, m, explicit, tail, limit, probe = task
-    prob = PartitionProblem(m, ColourSpec(explicit, tail))
+    variant, prob, limit, probe = task
+    m = prob.m
     degree = m ** 4
     # module globals looked up per call: perfbench's tracer times them by replacing them
     if variant == "b":
@@ -485,9 +477,9 @@ def _verify_cell(task: tuple) -> list[tuple]:
     ]
 
 
-def _verify_batch(batch: list[tuple]) -> list[list[tuple]]:
-    """_verify_cell of each task of one worker's batch, in batch order."""
-    return [_verify_cell(task) for task in batch]
+def _verify_batch(batch: list[tuple]) -> list[tuple]:
+    """The checks of every task of a batch, in one flat list."""
+    return [check for task in batch for check in _verify_cell(task)]
 
 
 def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> tuple:
@@ -529,12 +521,9 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
     else:
         points = default_grid(moduli, failing=cfg.probe)
 
-    tasks = [
-        (variant, prob.m, prob.colours.explicit, prob.colours.tail,
-         cfg.truncation, cfg.probe)
-        for prob in points
-        for variant in ("b", "c")
-    ]
+    # the b and c tasks of a point share its problem, and so its digit tables
+    tasks = [(variant, prob, cfg.truncation, cfg.probe)
+             for prob in points for variant in ("b", "c")]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: the pool's modules would add to every other run's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -546,24 +535,27 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
         # batches then end within one task's cost of each other.  At equal
         # length c goes before b, being the costlier variant, so that equal
         # loads do not deal every b task to one batch and every c to another.
-        queue = sorted(((max(limit, m ** 4), variant, i)
-                        for i, (variant, m, _, _, limit, _) in enumerate(tasks)), reverse=True)
+        queue = sorted(((max(limit, prob.m ** 4), variant, i)
+                        for i, (variant, prob, limit, _) in enumerate(tasks)), reverse=True)
         batches = [[] for _ in range(workers)]
         loads = [0] * workers
         for cost, _, i in queue:
             least = loads.index(min(loads))
-            batches[least].append(i)
+            batches[least].append(tasks[i])
             loads[least] += cost
+        # the checks come back in batch order, not task order: the totals
+        # are sums, and no two records share the key the mismatches are
+        # sorted by, so neither order reaches the report
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_verify_batch, [[tasks[i] for i in batch] for batch in batches]))
-        cells = [None] * len(tasks)
-        for batch, results in zip(batches, done):
-            for i, cell in zip(batch, results):
-                cells[i] = cell
+            checks = list(chain.from_iterable(pool.map(_verify_batch, batches)))
     else:
-        cells = [_verify_cell(task) for task in tasks]
+        checks = _verify_batch(tasks)
 
-    report = VerifyReport(
+    checked = sum(check[0] for check in checks)
+    matched = sum(check[1] for check in checks)
+    mismatches = sorted(chain.from_iterable(check[2] for check in checks),
+                        key=operator.itemgetter("m", "k", "n", "check"))
+    return VerifyReport(
         grid={
             "moduli": list(moduli),
             "points": len(points),
@@ -571,22 +563,18 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
             "probe": cfg.probe,
             "specs": [f"{p.m}:{p.colours}" for p in points],
         },
+        checked=checked,
+        matched=matched,
+        mismatched=checked - matched,
         skipped_hypothesis=skipped,
+        mismatches=mismatches[:MISMATCH_RECORD_LIMIT],
     )
-    for checked, matched, mismatches in chain.from_iterable(cells):
-        report.checked += checked
-        report.matched += matched
-        report.mismatched += checked - matched
-        report.mismatches.extend(mismatches)
-    report.mismatches.sort(key=operator.itemgetter("m", "k", "n", "check"))
-    del report.mismatches[MISMATCH_RECORD_LIMIT:]
-    return report
 
 
 def cmd_verify(cfg: JobConfig) -> int:
     started = time.perf_counter()
     report = run_verification(cfg)
-    report.wall_time = time.perf_counter() - started
+    elapsed = time.perf_counter() - started
 
     if cfg.fmt == "json":
         import json
@@ -623,7 +611,7 @@ def cmd_verify(cfg: JobConfig) -> int:
         else:
             print(f"result: {'PASS' if report.mismatched == 0 else 'FAIL'}")
 
-    print(f"verify completed in {report.wall_time:.2f}s", file=sys.stderr)
+    print(f"verify completed in {elapsed:.2f}s", file=sys.stderr)
     if cfg.probe:
         return EXIT_OK
     return EXIT_OK if report.mismatched == 0 else EXIT_MISMATCH

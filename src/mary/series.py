@@ -46,20 +46,6 @@ class CoprimalityError(ValueError):
         self.index = index
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Smallest prime dividing n, for n >= 2, by trial division."""
-    if n < 2:
-        raise ValueError("smallest_prime_factor needs n >= 2")
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
 class _Record:
     """Base of the package's value types: immutable, compared by value.
 
@@ -119,6 +105,14 @@ def coprimality_witness(modulus: int, bound: int) -> int | None:
     # no factor up to sqrt(modulus) within the bound: a modulus that is
     # itself at most bound is then prime
     return modulus if modulus <= bound else None
+
+
+def smallest_prime_factor(n: int) -> int:
+    """Smallest prime dividing n, for n >= 2."""
+    if n < 2:
+        raise ValueError("smallest_prime_factor needs n >= 2")
+    # every prime factor of n is at most n, so one always divides n!
+    return coprimality_witness(n, n)
 
 
 class ExactSeries(_Record):

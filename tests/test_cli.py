@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mary import cli
+from mary import cli, congruence, series
 from mary.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
@@ -30,7 +31,7 @@ from mary.cli import (
 )
 from mary import check_hypothesis
 from mary.congruence import expand_b_product, expand_c_product
-from mary.counting import ColourSpec, count_b_series, count_c_series
+from mary.counting import ColourSpec, PartitionProblem, count_b_series, count_c_series
 
 
 def run(capsys, *argv):
@@ -288,8 +289,8 @@ class TestVerify:
                 return map(fn, batches)
 
         def cost(task):
-            _, m, _, _, limit, _ = task
-            return max(limit, m ** 4)
+            _, prob, limit, _ = task
+            return max(limit, prob.m ** 4)
 
         serial = run(capsys, "verify", *argv, "--format", "json", "--jobs", "1")
         points = json.loads(serial[1])["grid"]["specs"]
@@ -299,19 +300,64 @@ class TestVerify:
         for jobs in (2, 3, 64):
             sent.clear()
             pooled = run(capsys, "verify", *argv, "--format", "json", "--jobs", str(jobs))
-            # results go back in task order: the same report as one worker's
+            # tasks reach the workers out of grid order: the same report as one worker's
             assert pooled[:2] == serial[:2]
 
             (workers, batches), = sent
             assert workers == min(jobs, len(tasks)) == len(batches)
-            sent_tasks = [(variant, m, str(ColourSpec(explicit, tail)))
-                          for batch in batches for variant, m, explicit, tail, _, _ in batch]
+            sent_tasks = [(variant, prob.m, str(prob.colours))
+                          for batch in batches for variant, prob, _, _ in batch]
             assert sorted(sent_tasks) == tasks
             loads = [sum(map(cost, batch)) for batch in batches]
             assert max(loads) <= min(loads) + max(cost(task) for batch in batches for task in batch)
             if workers == 2 and len(tasks) > 2:
                 # equal lengths are not dealt one variant to each batch
                 assert all({task[0] for task in batch} == {"b", "c"} for batch in batches)
+
+    # the pool's checks arrive in batch order, and the report must not show it
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("argv", [("--N", "30"), ("--m", "9", "--probe", "--N", "300"),
+                                      ("--m", "2", "--k", "3", "--probe", "--N", "300")])
+    def test_report_does_not_depend_on_check_order(self, capsys, monkeypatch, argv, fmt):
+        import concurrent.futures
+
+        class ReversingPool:
+            """Runs the last batch first and each batch's tasks last first."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, batches):
+                return [fn(batch[::-1]) for batch in reversed(batches)]
+
+        serial = run(capsys, "verify", *argv, "--format", fmt, "--jobs", "1")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversingPool)
+        for jobs in ("2", "3"):
+            assert run(capsys, "verify", *argv, "--format", fmt, "--jobs", jobs)[:2] == serial[:2]
+
+    def test_tasks_of_a_point_share_its_problem(self, monkeypatch):
+        # the c task's digit-table lookup finds the b task's problem by
+        # identity, so no record is compared field by field
+        compares = []
+        record_eq = series._Record.__eq__
+
+        def counted(self, other):
+            compares.append(type(self).__name__)
+            return record_eq(self, other)
+
+        # a fresh cache, holding no equal problem from an earlier test
+        monkeypatch.setattr(congruence, "_bottoms", functools.cache(congruence._bottoms.__wrapped__))
+        monkeypatch.setattr(series._Record, "__eq__", counted)
+        report = run_verification(JobConfig.from_args(
+            build_parser().parse_args(["verify", "--m", "3", "--N", "30"])))
+        assert report.checked > 0
+        assert compares == []
 
     @pytest.mark.parametrize("argv", [("--m", "5"), ("--m", "9", "--probe", "--N", "300")])
     def test_report_equal_at_one_two_and_three_workers(self, argv):
@@ -400,8 +446,7 @@ class TestGrid:
         monkeypatch.setattr(cli, "expand_c_theorem", theorem_of(expand_c_product))
         for prob in default_grid(failing=failing):
             for variant, start in (("b", 0), ("c", 1)):  # the gap-free corollary starts at n = 1
-                corollary, theorem = _verify_cell((variant, prob.m, prob.colours.explicit,
-                                                   prob.colours.tail, 200, failing))
+                corollary, theorem = _verify_cell((variant, prob, 200, failing))
                 assert corollary == (201 - start, 201 - start, []), (prob, variant)
                 assert theorem == (prob.m ** 4 + 1, prob.m ** 4 + 1, []), (prob, variant)
 
@@ -438,15 +483,16 @@ class TestGrid:
         assert "residue_limit=2000" in out.splitlines()[0]
 
     def test_capped_records_are_the_sorted_head(self, monkeypatch):
-        cfg = JobConfig(command="verify", m=2, colours=cli.ColourSpec.parse("3"),
+        cfg = JobConfig(command="verify", m=2, colours=ColourSpec.parse("3"),
                         truncation=600, probe=True)
         report = run_verification(cfg)
-        (_, _, capped), _ = _verify_cell(("c", 2, (3,), 3, 600, True))  # corollary, theorem
+        prob = PartitionProblem(2, cfg.colours)
+        (_, _, capped), _ = _verify_cell(("c", prob, 600, True))  # corollary, theorem
         assert len(capped) == MISMATCH_RECORD_LIMIT
         monkeypatch.setattr(cli, "MISMATCH_RECORD_LIMIT", 10**9)
         uncapped = []
         for variant in ("b", "c"):
-            for _, _, records in _verify_cell((variant, 2, (3,), 3, 600, True)):
+            for _, _, records in _verify_cell((variant, prob, 600, True)):
                 uncapped.extend(records)
         uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
         assert len(uncapped) == report.mismatched > MISMATCH_RECORD_LIMIT
