@@ -37,7 +37,7 @@ from .congruence import (
     residue_c,
     residues_b,
     residues_c,
-    to_digits,
+    _digits,
 )
 from .counting import (
     ColourSpec,
@@ -145,33 +145,6 @@ class JobConfig(_Record):
             probe=getattr(ns, "probe", False),
             use_enum=getattr(ns, "enum", False),
         )
-
-
-class VerifyReport(_Record):
-    """Aggregated outcome of a verification sweep.
-
-    checked always equals matched + mismatched; skipped counts grid
-    candidates dropped by the hypothesis filter.  A report is built once,
-    when the sweep is done, and is immutable like the other records; its
-    grid dict and mismatch list make it unhashable.
-    """
-
-    __slots__ = ("grid", "checked", "matched", "mismatched", "skipped_hypothesis",
-                 "mismatches")
-
-    def __init__(
-        self,
-        grid: dict,
-        checked: int = 0,
-        matched: int = 0,
-        mismatched: int = 0,
-        skipped_hypothesis: int = 0,
-        mismatches: list[dict] | None = None,
-    ) -> None:
-        values = (grid, checked, matched, mismatched, skipped_hypothesis,
-                  [] if mismatches is None else mismatches)
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
 
 def _require_terms(option: str, terms: int) -> None:
@@ -361,10 +334,10 @@ def cmd_residue(cfg: JobConfig) -> int:
             try:
                 if cfg.variant == "b":
                     value = residue_b(n, prob).value
-                    digits = ",".join(map(str, to_digits(n, prob.m).digits))
+                    digits = ",".join(map(str, _digits(n, prob.m)))
                 else:
                     value = residue_c(n, prob).value
-                    digits = ",".join(map(str, to_digits(-(-n // prob.m) * prob.m, prob.m).digits))
+                    digits = ",".join(map(str, _digits(-(-n // prob.m) * prob.m, prob.m)))
             except CoprimalityError as exc:
                 note = f"skipped: {exc}"
         digit_cells.append(digits)
@@ -506,18 +479,23 @@ def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> 
     return checked, matched, mismatches
 
 
-def run_verification(cfg: JobConfig) -> VerifyReport:
+def run_verification(cfg: JobConfig) -> dict:
+    """The verify report, the document `verify --format json` prints.
+
+    Keys: grid (moduli, points, residue_limit, probe, specs), totals
+    (checked, matched, mismatched, skipped_hypothesis) and mismatches, the
+    first MISMATCH_RECORD_LIMIT records by (m, k, n, check).  checked
+    always equals matched + mismatched; skipped_hypothesis counts --k
+    candidates dropped by the hypothesis filter.
+    """
     moduli = (cfg.m,) if cfg.m is not None else GRID_MODULI
     skipped = 0
     if cfg.colours is not None:
-        points = []
-        for m in moduli:
-            prob = PartitionProblem(m, cfg.colours.normalized())
-            admissible = bool(check_hypothesis(prob, len(cfg.colours.explicit) + 1))
-            if admissible != cfg.probe:
-                points.append(prob)
-            else:
-                skipped += 1
+        candidates = [PartitionProblem(m, cfg.colours.normalized()) for m in moduli]
+        # the whole spec: the tail's digit-table index is len(explicit)
+        points = [prob for prob in candidates
+                  if bool(check_hypothesis(prob, len(prob.colours.explicit))) != cfg.probe]
+        skipped = len(candidates) - len(points)
     else:
         points = default_grid(moduli, failing=cfg.probe)
 
@@ -531,18 +509,12 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
         # the pool starts all its workers at once; past one per task they idle
         workers = min(cfg.jobs, len(tasks))
         # one batch per worker, so each pays one round trip, not one per
-        # task.  Longest series first, each to the least-loaded batch: the
-        # batches then end within one task's cost of each other.  At equal
-        # length c goes before b, being the costlier variant, so that equal
-        # loads do not deal every b task to one batch and every c to another.
-        queue = sorted(((max(limit, prob.m ** 4), variant, i)
-                        for i, (variant, prob, limit, _) in enumerate(tasks)), reverse=True)
-        batches = [[] for _ in range(workers)]
-        loads = [0] * workers
-        for cost, _, i in queue:
-            least = loads.index(min(loads))
-            batches[least].append(tasks[i])
-            loads[least] += cost
+        # task.  Longest series first, dealt in turn: the batches then end
+        # within one task's cost of each other.  At equal length c, the
+        # costlier variant, goes first.
+        queue = sorted(tasks, key=lambda task: (max(task[2], task[1].m ** 4), task[0]),
+                       reverse=True)
+        batches = [queue[w::workers] for w in range(workers)]
         # the checks come back in batch order, not task order: the totals
         # are sums, and no two records share the key the mismatches are
         # sorted by, so neither order reaches the report
@@ -555,20 +527,22 @@ def run_verification(cfg: JobConfig) -> VerifyReport:
     matched = sum(check[1] for check in checks)
     mismatches = sorted(chain.from_iterable(check[2] for check in checks),
                         key=operator.itemgetter("m", "k", "n", "check"))
-    return VerifyReport(
-        grid={
+    return {
+        "grid": {
             "moduli": list(moduli),
             "points": len(points),
             "residue_limit": cfg.truncation,
             "probe": cfg.probe,
             "specs": [f"{p.m}:{p.colours}" for p in points],
         },
-        checked=checked,
-        matched=matched,
-        mismatched=checked - matched,
-        skipped_hypothesis=skipped,
-        mismatches=mismatches[:MISMATCH_RECORD_LIMIT],
-    )
+        "totals": {
+            "checked": checked,
+            "matched": matched,
+            "mismatched": checked - matched,
+            "skipped_hypothesis": skipped,
+        },
+        "mismatches": mismatches[:MISMATCH_RECORD_LIMIT],
+    }
 
 
 def cmd_verify(cfg: JobConfig) -> int:
@@ -576,45 +550,32 @@ def cmd_verify(cfg: JobConfig) -> int:
     report = run_verification(cfg)
     elapsed = time.perf_counter() - started
 
+    grid, totals, mismatches = report["grid"], report["totals"], report["mismatches"]
     if cfg.fmt == "json":
         import json
 
-        payload = {
-            "grid": report.grid,
-            "totals": {
-                "checked": report.checked,
-                "matched": report.matched,
-                "mismatched": report.mismatched,
-                "skipped_hypothesis": report.skipped_hypothesis,
-            },
-            "mismatches": report.mismatches,
-        }
-        print(json.dumps(payload, indent=1))
+        print(json.dumps(report, indent=1))
     elif cfg.fmt == "csv":
         fields = ("check", "m", "k", "n", "oracle", "formula")
-        _emit([[record[name] for record in report.mismatches] for name in fields], "csv", fields)
+        _emit([[record[name] for record in mismatches] for name in fields], "csv", fields)
     else:
-        moduli_text = ",".join(str(m) for m in report.grid["moduli"])
-        print(f"grid moduli={moduli_text} points={report.grid['points']} "
-              f"residue_limit={report.grid['residue_limit']} "
-              f"probe={'yes' if report.grid['probe'] else 'no'}")
-        print(f"checked={report.checked} matched={report.matched} "
-              f"mismatched={report.mismatched} "
-              f"skipped_hypothesis={report.skipped_hypothesis}")
+        print(f"grid moduli={','.join(map(str, grid['moduli']))} points={grid['points']} "
+              f"residue_limit={grid['residue_limit']} probe={'yes' if grid['probe'] else 'no'}")
+        print(" ".join(f"{k}={v}" for k, v in totals.items()))
         sys.stdout.write("".join(
             f"mismatch check={record['check']} m={record['m']} "
             f"k={record['k']} n={record['n']} "
             f"oracle={record['oracle']} formula={record['formula']}\n"
-            for record in report.mismatches))
+            for record in mismatches))
         if cfg.probe:
             print("result: PROBE")
         else:
-            print(f"result: {'PASS' if report.mismatched == 0 else 'FAIL'}")
+            print(f"result: {'PASS' if totals['mismatched'] == 0 else 'FAIL'}")
 
     print(f"verify completed in {elapsed:.2f}s", file=sys.stderr)
     if cfg.probe:
         return EXIT_OK
-    return EXIT_OK if report.mismatched == 0 else EXIT_MISMATCH
+    return EXIT_OK if totals["mismatched"] == 0 else EXIT_MISMATCH
 
 
 _DISPATCH = {

@@ -211,6 +211,14 @@ class TestVerify:
         assert report["grid"]["probe"] is True
         assert report["totals"]["checked"] > 0
 
+    def test_json_output_is_the_report(self, capsys):
+        argv = ["verify", "--m", "9", "--probe", "--N", "60", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        report = run_verification(JobConfig.from_args(build_parser().parse_args(argv)))
+        assert report["mismatches"]
+        assert json.loads(out) == report
+
     def test_text_summary(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "3", "--N", "30")
         assert code == EXIT_OK
@@ -356,7 +364,7 @@ class TestVerify:
         monkeypatch.setattr(series._Record, "__eq__", counted)
         report = run_verification(JobConfig.from_args(
             build_parser().parse_args(["verify", "--m", "3", "--N", "30"])))
-        assert report.checked > 0
+        assert report["totals"]["checked"] > 0
         assert compares == []
 
     @pytest.mark.parametrize("argv", [("--m", "5"), ("--m", "9", "--probe", "--N", "300")])
@@ -366,7 +374,7 @@ class TestVerify:
         for jobs in (1, 2, 3):
             ns.jobs = jobs
             reports.append(run_verification(JobConfig.from_args(ns)))
-        assert reports[0].checked > 0
+        assert reports[0]["totals"]["checked"] > 0
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
@@ -417,15 +425,16 @@ class TestGrid:
     def test_run_verification_report_shape(self):
         cfg = JobConfig(command="verify", m=3, truncation=30)
         report = run_verification(cfg)
-        assert report.checked == report.matched + report.mismatched
-        assert report.mismatched == 0
-        assert report.grid["residue_limit"] == 30
+        totals = report["totals"]
+        assert totals["checked"] == totals["matched"] + totals["mismatched"]
+        assert totals["mismatched"] == 0
+        assert report["grid"]["residue_limit"] == 30
 
     def test_probe_mismatch_records_are_sorted(self):
         cfg = JobConfig(command="verify", m=9, truncation=60, probe=True)
-        report = run_verification(cfg)
-        assert report.mismatches
-        keys = [(r["m"], r["k"], r["n"], r["check"]) for r in report.mismatches]
+        mismatches = run_verification(cfg)["mismatches"]
+        assert mismatches
+        keys = [(r["m"], r["k"], r["n"], r["check"]) for r in mismatches]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("failing", [False, True])
@@ -466,7 +475,7 @@ class TestGrid:
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
         report = run_verification(JobConfig.from_args(
             build_parser().parse_args(["verify", "--m", "3", "--N", "30"])))
-        assert report.grid["points"] == 14
+        assert report["grid"]["points"] == 14
         assert calls == dict.fromkeys(names, 14)
 
     @pytest.mark.parametrize("argv, truncation", [
@@ -495,8 +504,8 @@ class TestGrid:
             for _, _, records in _verify_cell((variant, prob, 600, True)):
                 uncapped.extend(records)
         uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
-        assert len(uncapped) == report.mismatched > MISMATCH_RECORD_LIMIT
-        assert report.mismatches == uncapped[:MISMATCH_RECORD_LIMIT]
+        assert len(uncapped) == report["totals"]["mismatched"] > MISMATCH_RECORD_LIMIT
+        assert report["mismatches"] == uncapped[:MISMATCH_RECORD_LIMIT]
 
 
 class TestGoldenOutput:
