@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 
 from .congruence import (
     expand_b_product,
@@ -250,18 +250,9 @@ def _emit(columns: Sequence[Sequence], fmt: str, fields: tuple[str, ...]) -> Non
     if fmt == "csv":
         import csv
     elif fmt == "text":
-        texts = list(map(_texts, columns))
-        widths = [max(len(name), max(map(len, cells), default=0))
-                  for name, cells in zip(fields, texts[:-1])]
+        widths = [max(len(name), max(map(len, _texts(column)), default=0))
+                  for name, column in zip(fields, columns[:-1])]
         line = "  ".join([*(f"%-{w}s" for w in widths), "%s"])
-        # only an empty or blank-ended last cell, or a cell holding a
-        # newline, can leave blanks at the end of a line.  Cells are joined
-        # a block at a time: a whole column joined would raise peak memory.
-        ends = [fields[-1], *texts[-1]]
-        ragged = (not all(ends) or any(map(str.endswith, ends, repeat(" ")))
-                  or any("\n" in "".join(cells[i:i + EMIT_BLOCK_LINES])
-                         for cells in (fields, *texts)
-                         for i in range(0, len(cells), EMIT_BLOCK_LINES)))
     rows = len(columns[0])
     # row -1 is the header
     for start in range(-1, rows, EMIT_BLOCK_LINES):
@@ -280,14 +271,16 @@ def _emit(columns: Sequence[Sequence], fmt: str, fields: tuple[str, ...]) -> Non
         for i, column in enumerate(columns, len(head)):
             cells[i::k] = column[lo:hi]
         text = "\n".join(repeat(line, len(cells) // k)) % tuple(cells) + "\n"
-        if ragged and " \n" in text:
+        # the last column is not padded, so only an empty or blank-ended
+        # last cell, or a cell holding a newline, leaves a blank at a line's end
+        if " \n" in text:
             text = "\n".join(map(str.rstrip, text.split("\n")))
         sys.stdout.write(text)
 
 
 def _texts(column: Sequence) -> Sequence[str]:
     """Enough of the str() of a column's cells, in C-level passes, to find
-    its widest cell and any empty, blank-ended or multi-line one."""
+    its widest cell."""
     if not column:
         return ()
     if isinstance(column, range):
@@ -353,12 +346,14 @@ def cmd_residue(cfg: JobConfig) -> int:
 
 def cmd_expand(cfg: JobConfig) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
+    # the theorem side first: it refuses a problem outside the hypothesis
+    # before the exact series is built
     if cfg.variant == "b":
-        lhs = expand_b_product(prob, cfg.truncation)
         rhs = expand_b_theorem(prob, cfg.truncation)
+        lhs = expand_b_product(prob, cfg.truncation)
     else:
-        lhs = expand_c_product(prob, cfg.truncation)
         rhs = expand_c_theorem(prob, cfg.truncation)
+        lhs = expand_c_product(prob, cfg.truncation)
     _emit([range(cfg.truncation + 1), lhs.coeffs, rhs.coeffs,
            list(map(operator.eq, lhs.coeffs, rhs.coeffs))],
           cfg.fmt, ("exponent", "lhs", "rhs", "match"))
@@ -423,29 +418,27 @@ def default_grid(moduli=GRID_MODULI, *, failing: bool = False) -> list[Partition
 def _verify_cell(task: tuple) -> list[tuple]:
     """Run both checks of one (grid point, variant).  Must stay picklable.
 
-    The variant's exact series is built once, to the larger of the residue
-    sweep limit and m**4, and reduced mod m in one pass.  The corollary
-    compares its first limit + 1 terms with the digit formula, the theorem
-    its first m**4 + 1 terms with the theorem's expansion.  Returns one
-    (checked, matched, mismatches) per check.
+    The variant's product expansion, its exact series reduced mod m, is
+    built once, to the larger of the residue sweep limit and m**4.  The
+    corollary compares its first limit + 1 terms with the digit formula,
+    the theorem its first m**4 + 1 terms with the theorem's expansion.
+    Returns one (checked, matched, mismatches) per check.
     """
     variant, prob, limit, probe = task
-    m = prob.m
-    degree = m ** 4
+    degree = prob.m ** 4
     # module globals looked up per call: perfbench's tracer times them by replacing them
     if variant == "b":
-        exact, corollary, theorem = count_b_series, residues_b, expand_b_theorem
+        product, corollary, theorem = expand_b_product, residues_b, expand_b_theorem
     else:
-        exact, corollary, theorem = count_c_series, residues_c, expand_c_theorem
-    reduced = [c % m for c in exact(prob, max(limit, degree)).coeffs]
-    # theorem-c is stated for 1 + sum c(n) q^n, as in expand_c_product
-    head = (1 if variant == "c" else reduced[0], *islice(reduced, 1, degree + 1))
+        product, corollary, theorem = expand_c_product, residues_c, expand_c_theorem
+    oracle = product(prob, max(limit, degree)).coeffs
     # the gap-free formula covers n >= 1 only
     start = 1 if variant == "c" else 0
+    # the sweep's list as a tuple, like the oracle: a list never equals a tuple
     return [
-        _compare("corollary-" + variant, prob, start, reduced[:limit + 1],
-                 corollary(prob, limit, enforce_hypothesis=not probe)),
-        _compare("theorem-" + variant, prob, 0, head,
+        _compare("corollary-" + variant, prob, start, oracle[:limit + 1],
+                 tuple(corollary(prob, limit, enforce_hypothesis=not probe))),
+        _compare("theorem-" + variant, prob, 0, oracle[:degree + 1],
                  theorem(prob, degree, enforce_hypothesis=not probe).coeffs),
     ]
 
@@ -458,25 +451,22 @@ def _verify_batch(batch: list[tuple]) -> list[tuple]:
 def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> tuple:
     """(checked, matched, mismatches) of one check, from n = start on.
 
-    The two sides are compared in one equality and walked only when they
-    differ.  Only the first MISMATCH_RECORD_LIMIT mismatches become records:
-    n ascends within a check, so these are its only candidates for the
-    report's sorted top MISMATCH_RECORD_LIMIT.
+    The two sides are compared in one equality, which holds only between
+    sequences of one type, and scanned only when they differ.  Only the
+    first MISMATCH_RECORD_LIMIT mismatches become records: n ascends
+    within a check, so these are its only candidates for the report's
+    sorted top MISMATCH_RECORD_LIMIT.
     """
     oracle, formula = oracle[start:], formula[start:]
     checked = len(oracle)
-    mismatches = []
     if oracle == formula:
-        return checked, checked, mismatches
-    matched = sum(map(operator.eq, oracle, formula))
+        return checked, checked, []
     spec_text = str(prob.colours)
-    for n, (want, got) in enumerate(zip(oracle, formula), start):
-        if want != got:
-            mismatches.append({"check": kind, "m": prob.m, "k": spec_text, "n": n,
-                               "oracle": want, "formula": got})
-            if len(mismatches) == MISMATCH_RECORD_LIMIT:
-                break
-    return checked, matched, mismatches
+    mismatches = [{"check": kind, "m": prob.m, "k": spec_text, "n": n,
+                   "oracle": oracle[n - start], "formula": formula[n - start]}
+                  for n in islice(compress(count(start), map(operator.ne, oracle, formula)),
+                                  MISMATCH_RECORD_LIMIT)]
+    return checked, checked - sum(map(operator.ne, oracle, formula)), mismatches
 
 
 def run_verification(cfg: JobConfig) -> dict:

@@ -232,13 +232,15 @@ def _c_coeffs(prob: PartitionProblem, truncation: int, index: int) -> list[int]:
     """Coefficients 0..truncation of C_index (see count_c_series)."""
     if truncation == 0:
         return [0]
-    shifted = [0] * (truncation + 1)
-    shifted[:: prob.m] = _c_coeffs(prob, truncation // prob.m, index + 1)
-    shifted[0] = 1  # the 1 of 1 + C_{index+1}, whose own constant term is 0
-    coeffs = shifted
+    inner = _c_coeffs(prob, truncation // prob.m, index + 1)
+    inner[0] = 1  # the 1 of 1 + C_{index+1}, whose own constant term is 0
+    coeffs = [0] * (truncation + 1)
+    coeffs[:: prob.m] = inner
     for _ in range(prob.colours.count(index)):
         coeffs = list(accumulate(coeffs))
-    return list(map(sub, coeffs, shifted))
+    # the factor's input is nonzero only on the m-lattice
+    coeffs[:: prob.m] = map(sub, coeffs[:: prob.m], inner)
+    return coeffs
 
 
 def _powers_up_to(m: int, n: int) -> list[int]:

@@ -176,6 +176,18 @@ class TestExpand:
         assert code == EXIT_CONFIG
         assert "prime 2" in err
 
+    @pytest.mark.parametrize("variant", ["b", "c"])
+    def test_hypothesis_is_checked_before_the_product(self, capsys, monkeypatch, variant):
+        # the exact side of a huge --N takes seconds; a refused problem must not build it
+        calls = []
+        for name in ("expand_b_product", "expand_c_product"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        code, out, err = run(capsys, "expand", "--m", "2", "--k", "3", "--variant", variant,
+                             "--N", "10")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "coprimality hypothesis fails for modulus 2" in err
+        assert calls == []
+
 
 class TestVerify:
     def test_restricted_grid_passes(self, capsys):
@@ -462,7 +474,7 @@ class TestGrid:
     def test_cells_call_the_module_names_at_call_time(self, monkeypatch):
         # perfbench's tracer times these layers by replacing the names in
         # mary.cli, so each cell must look them up when it runs
-        names = ("count_b_series", "count_c_series", "expand_b_theorem", "expand_c_theorem")
+        names = ("expand_b_product", "expand_c_product", "expand_b_theorem", "expand_c_theorem")
         calls = dict.fromkeys(names, 0)
 
         def counted(name, original):
@@ -637,6 +649,24 @@ class TestBlockOutput:
         monkeypatch.undo()
         monkeypatch.setattr(cli, "_emit", line_by_line_emit)
         assert timeless(blocks) == timeless(run(capsys, *argv))
+
+    def test_only_blocks_with_empty_notes_are_stripped(self, capsys, monkeypatch):
+        # the gap-free hypothesis fails from n = 31 on, where every row has a note
+        argv = ("residue", "--m", "6", "--k", "1,1,2", "--variant", "c", "--range", "0..50")
+        monkeypatch.setattr(cli, "EMIT_BLOCK_LINES", self.BLOCK)
+        writes = []
+        real_write = sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+        blocks = run(capsys, *argv)
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_emit", line_by_line_emit)
+        assert blocks == run(capsys, *argv)
+        rows = [block.splitlines() for block in writes]
+        del rows[0][0]  # the header
+        # a row's note is empty or tells why it has no residue
+        empty_notes = [any("skipped" not in line and "undefined" not in line for line in block)
+                       for block in rows]
+        assert True in empty_notes and False in empty_notes
 
 
 class TestColumnarEmit:

@@ -1,6 +1,7 @@
 """Property tests: the series oracles, the batch sweeps, the point formulas at
-huge n, the gap-free expansion and the binomial lift."""
+huge n, the gap-free expansion, the binomial lift and verify's compare step."""
 
+import random
 from math import comb
 
 from hypothesis import assume, given, settings
@@ -23,6 +24,7 @@ from mary import (
     residues_c,
     smallest_prime_factor,
 )
+from mary.cli import MISMATCH_RECORD_LIMIT, _compare
 from test_counting import fold_b_series, fold_c_series
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -114,3 +116,33 @@ def test_binom_lift_is_independent_of_lift_steps(modulus, bottom, top, steps):
     least = max(0, -(-(bottom - top) // modulus))
     lifted = top + (least + steps) * modulus
     assert comb(lifted, bottom) % modulus == binom_lift(top, bottom, modulus).value
+
+
+def plain_compare(kind, prob, start, oracle, formula):
+    """_compare as a plain walk over the pairs, for reference."""
+    checked = matched = 0
+    records = []
+    for n, (want, got) in enumerate(zip(oracle[start:], formula[start:]), start):
+        checked += 1
+        if want == got:
+            matched += 1
+        elif len(records) < MISMATCH_RECORD_LIMIT:
+            records.append({"check": kind, "m": prob.m, "k": str(prob.colours), "n": n,
+                            "oracle": want, "formula": got})
+    return checked, matched, records
+
+
+@SETTINGS
+@given(m=st.sampled_from([2, 9, 256, 257, 10**18 + 3]), length=st.integers(0, 400),
+       start=st.integers(0, 1), types=st.tuples(*[st.sampled_from([list, tuple])] * 2),
+       share=st.sampled_from([0, 0.05, 0.5, 1]), seed=st.integers(0, 2**32))
+def test_compare_equals_a_plain_walk(m, length, start, types, share, seed):
+    # share is the fraction of entries changed: 1 leaves more than
+    # MISMATCH_RECORD_LIMIT mismatches once length passes it
+    rng = random.Random(seed)
+    oracle = [rng.randrange(m) for _ in range(length)]
+    formula = [(x + rng.randrange(1, m)) % m if rng.random() < share else x for x in oracle]
+    prob = PartitionProblem(m, ColourSpec((1, 2), 3))
+    oracle, formula = types[0](oracle), types[1](formula)
+    assert (_compare("check", prob, start, oracle, formula)
+            == plain_compare("check", prob, start, oracle, formula))
