@@ -54,13 +54,15 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 EXIT_BROKEN_PIPE = 141
 
-# Verification grid defaults: moduli to sweep, how many colour specs to
-# sample per modulus (entries capped at 6), and the residue sweep bound.
-GRID_MODULI = (2, 3, 5, 7, 9)
+# Verification grid defaults: how many colour specs to sample per modulus
+# swept (entries capped at 6), and the residue sweep bound.
 GRID_QUOTAS = {2: 2, 3: 14, 5: 14, 7: 14, 9: 10}
+GRID_MODULI = tuple(GRID_QUOTAS)
 RESIDUE_SWEEP_LIMIT = 2000
 MAX_COLOUR_ENTRY = 6
 MISMATCH_RECORD_LIMIT = 100
+# A mismatch record's fields, in the order verify prints them
+MISMATCH_FIELDS = ("check", "m", "k", "n", "oracle", "formula")
 # Most series terms or records one command may ask for; anything larger is
 # a configuration error rather than an unbounded run.
 MAX_TERMS = 1_000_000
@@ -379,24 +381,15 @@ def grid_colour_specs(m: int, quota: int, *, failing: bool = False) -> list[Colo
     # the filter compares p only with bounds up to MAX_COLOUR_ENTRY, so
     # when m has no prime factor that small, m itself stands in for p
     p = coprimality_witness(m, MAX_COLOUR_ENTRY) or m
-    singles = []
-    longer = []
     entries = range(1, MAX_COLOUR_ENTRY + 1)
+    singles = [((k,), k) for k in entries if (p > k) != failing]
     extras = [(), *((a,) for a in entries), *((a, b) for a in entries for b in entries)]
-    for tail in entries:
-        for k0 in entries:
-            for extra in extras:
-                # a last entry equal to the tail normalizes away, leaving a
-                # spec this loop also yields in its shorter form
-                if extra and extra[-1] == tail:
-                    continue
-                if (p > max(k0 - 1, *extra, tail)) == failing:
-                    continue
-                target = singles if not extra and k0 == tail else longer
-                target.append(((k0, *extra), tail))
-    # rng.sample reads longer by position, so the grid depends on this order
-    singles.sort()
-    longer.sort()
+    # every other candidate, except those whose last entry equals the tail:
+    # that entry normalizes away, leaving a spec listed in its shorter form.
+    # rng.sample reads longer by position, so the grid depends on this order.
+    longer = sorted(((k0, *extra), tail) for tail in entries for k0 in entries for extra in extras
+                    if (extra or k0 != tail) and extra[-1:] != (tail,)
+                    and (p > max(k0 - 1, *extra, tail)) != failing)
     chosen = singles[:quota]
     if len(chosen) < quota and longer:
         rng = random.Random(1009 * m + (1 if failing else 0))
@@ -452,8 +445,9 @@ def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> 
     """(checked, matched, mismatches) of one check, from n = start on.
 
     The two sides are compared in one equality, which holds only between
-    sequences of one type, and scanned only when they differ.  Only the
-    first MISMATCH_RECORD_LIMIT mismatches become records: n ascends
+    sequences of one type, and scanned only when they differ.  A mismatch
+    is a tuple of the MISMATCH_FIELDS values.  Only the first
+    MISMATCH_RECORD_LIMIT mismatches become records: n ascends
     within a check, so these are its only candidates for the report's
     sorted top MISMATCH_RECORD_LIMIT.
     """
@@ -462,8 +456,7 @@ def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> 
     if oracle == formula:
         return checked, checked, []
     spec_text = str(prob.colours)
-    mismatches = [{"check": kind, "m": prob.m, "k": spec_text, "n": n,
-                   "oracle": oracle[n - start], "formula": formula[n - start]}
+    mismatches = [(kind, prob.m, spec_text, n, oracle[n - start], formula[n - start])
                   for n in islice(compress(count(start), map(operator.ne, oracle, formula)),
                                   MISMATCH_RECORD_LIMIT)]
     return checked, checked - sum(map(operator.ne, oracle, formula)), mismatches
@@ -515,8 +508,9 @@ def run_verification(cfg: JobConfig) -> dict:
 
     checked = sum(check[0] for check in checks)
     matched = sum(check[1] for check in checks)
+    # by (m, k, n, check); only the reported records become dicts
     mismatches = sorted(chain.from_iterable(check[2] for check in checks),
-                        key=operator.itemgetter("m", "k", "n", "check"))
+                        key=operator.itemgetter(1, 2, 3, 0))
     return {
         "grid": {
             "moduli": list(moduli),
@@ -531,7 +525,8 @@ def run_verification(cfg: JobConfig) -> dict:
             "mismatched": checked - matched,
             "skipped_hypothesis": skipped,
         },
-        "mismatches": mismatches[:MISMATCH_RECORD_LIMIT],
+        "mismatches": [dict(zip(MISMATCH_FIELDS, record))
+                       for record in mismatches[:MISMATCH_RECORD_LIMIT]],
     }
 
 
@@ -546,17 +541,14 @@ def cmd_verify(cfg: JobConfig) -> int:
 
         print(json.dumps(report, indent=1))
     elif cfg.fmt == "csv":
-        fields = ("check", "m", "k", "n", "oracle", "formula")
-        _emit([[record[name] for record in mismatches] for name in fields], "csv", fields)
+        _emit([[record[name] for record in mismatches] for name in MISMATCH_FIELDS], "csv",
+              MISMATCH_FIELDS)
     else:
         print(f"grid moduli={','.join(map(str, grid['moduli']))} points={grid['points']} "
               f"residue_limit={grid['residue_limit']} probe={'yes' if grid['probe'] else 'no'}")
         print(" ".join(f"{k}={v}" for k, v in totals.items()))
-        sys.stdout.write("".join(
-            f"mismatch check={record['check']} m={record['m']} "
-            f"k={record['k']} n={record['n']} "
-            f"oracle={record['oracle']} formula={record['formula']}\n"
-            for record in mismatches))
+        for record in mismatches:
+            print("mismatch " + " ".join(f"{k}={v}" for k, v in record.items()))
         if cfg.probe:
             print("result: PROBE")
         else:

@@ -10,7 +10,7 @@ in [0, m - 1].
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, isqrt
 
 __all__ = [
@@ -44,6 +44,12 @@ class CoprimalityError(ValueError):
         self.prime = prime
         self.modulus = modulus
         self.index = index
+
+    def __reduce__(self) -> tuple:
+        # the fields are keyword-only, so pickle and copy (a --jobs worker
+        # sends its error back pickled) must pass them by name
+        return partial(type(self), prime=self.prime, modulus=self.modulus,
+                       index=self.index), self.args
 
 
 class _Record:

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -19,6 +20,7 @@ from mary.cli import (
     EXIT_OK,
     GRID_MODULI,
     MAX_TERMS,
+    MISMATCH_FIELDS,
     MISMATCH_RECORD_LIMIT,
     RESIDUE_SWEEP_LIMIT,
     JobConfig,
@@ -395,6 +397,18 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.strip() == "check,m,k,n,oracle,formula"
 
+    # the patch reaches a worker only if the worker is forked from this process
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers are not forked")
+    def test_coprimality_error_in_a_worker_reads_as_in_process(self, capsys, monkeypatch):
+        def refuse(prob, limit, *, enforce_hypothesis=True):
+            raise series.CoprimalityError("refused", prime=3, modulus=prob.m, index=1)
+
+        monkeypatch.setattr(cli, "residues_b", refuse)
+        results = [run(capsys, "verify", "--m", "3", "--N", "30", "--jobs", jobs)
+                   for jobs in ("1", "2")]
+        assert results[0] == results[1] == (EXIT_CONFIG, "", "error: refused\n")
+
 
 class TestGrid:
     def test_default_grid_is_large_enough(self):
@@ -515,9 +529,11 @@ class TestGrid:
         for variant in ("b", "c"):
             for _, _, records in _verify_cell((variant, prob, 600, True)):
                 uncapped.extend(records)
-        uncapped.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
+        # records are tuples in MISMATCH_FIELDS order: check, m, k, n, ...
+        uncapped.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
         assert len(uncapped) == report["totals"]["mismatched"] > MISMATCH_RECORD_LIMIT
-        assert report["mismatches"] == uncapped[:MISMATCH_RECORD_LIMIT]
+        assert report["mismatches"] == [dict(zip(MISMATCH_FIELDS, r))
+                                         for r in uncapped[:MISMATCH_RECORD_LIMIT]]
 
 
 class TestGoldenOutput:

@@ -1,5 +1,6 @@
 """Property tests: the series oracles, the batch sweeps, the point formulas at
-huge n, the gap-free expansion, the binomial lift and verify's compare step."""
+huge n, the gap-free expansion, the binomial lift, the formulas past a
+failing hypothesis and verify's compare step."""
 
 import random
 from math import comb
@@ -16,6 +17,8 @@ from mary import (
     count_b_series,
     count_c_enum,
     count_c_series,
+    expand_b_product,
+    expand_b_theorem,
     expand_c_product,
     expand_c_theorem,
     residue_b,
@@ -25,6 +28,7 @@ from mary import (
     smallest_prime_factor,
 )
 from mary.cli import MISMATCH_RECORD_LIMIT, _compare
+from mary.congruence import _bottoms
 from test_counting import fold_b_series, fold_c_series
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -118,6 +122,53 @@ def test_binom_lift_is_independent_of_lift_steps(modulus, bottom, top, steps):
     assert comb(lifted, bottom) % modulus == binom_lift(top, bottom, modulus).value
 
 
+@st.composite
+def failing_problems(draw):
+    """A base and a colour spec whose hypothesis fails at some digit index."""
+    m = draw(st.sampled_from([*range(2, 11), 12, 15, 16, 25, 27]))
+    explicit = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    prob = PartitionProblem(m, ColourSpec(tuple(explicit), draw(st.integers(1, 8))))
+    assume(_bottoms(prob)[1] is not None)
+    return prob
+
+
+# the largest n the property below reaches, which keeps its oracles small
+SHARP_LIMIT = 3000
+
+
+@settings(max_examples=150, deadline=None)
+@given(prob=failing_problems())
+def test_formulas_hold_through_the_failing_digit_index(prob):
+    # the sharper hypothesis: with idx the first index where it fails, the
+    # formulas still hold at every n whose top digit index (of the rounded-up
+    # n, for c) is at most idx, which is every n below m**(idx + 1)
+    m = prob.m
+    idx = _bottoms(prob)[1][0]
+    top = min(m ** (idx + 1) - 1, SHARP_LIMIT)
+    b = [v % m for v in count_b_series(prob, top).coeffs]
+    assert residues_b(prob, top, enforce_hypothesis=False) == b
+    assert expand_b_theorem(prob, top, enforce_hypothesis=False) == expand_b_product(prob, top)
+    # n rounds up to a multiple of m below m**(idx + 1)
+    top_c = min(m ** (idx + 1) - m, SHARP_LIMIT)
+    c = [v % m for v in count_c_series(prob, top_c).coeffs]
+    assert residues_c(prob, top_c, enforce_hypothesis=False)[1:] == c[1:]
+    assert expand_c_theorem(prob, top, enforce_hypothesis=False) == expand_c_product(prob, top)
+
+
+def test_formulas_fail_one_digit_index_past_the_failing_one():
+    # k_1 = 3 at m = 3: the hypothesis fails at index 1, so the formulas
+    # hold below 9 = 100 in base 3 and no further
+    prob = PartitionProblem(3, ColourSpec((1,), 3))
+    assert _bottoms(prob)[1] == (1, 3)
+    b = [v % 3 for v in count_b_series(prob, 9).coeffs]
+    c = [v % 3 for v in count_c_series(prob, 9).coeffs]
+    formula_b = residues_b(prob, 9, enforce_hypothesis=False)
+    formula_c = residues_c(prob, 9, enforce_hypothesis=False)
+    assert formula_b[:9] == b[:9] and formula_b[9] != b[9]
+    # 7 rounds up to 9, whose top index is 2
+    assert formula_c[1:7] == c[1:7] and formula_c[7] != c[7]
+
+
 def plain_compare(kind, prob, start, oracle, formula):
     """_compare as a plain walk over the pairs, for reference."""
     checked = matched = 0
@@ -127,8 +178,7 @@ def plain_compare(kind, prob, start, oracle, formula):
         if want == got:
             matched += 1
         elif len(records) < MISMATCH_RECORD_LIMIT:
-            records.append({"check": kind, "m": prob.m, "k": str(prob.colours), "n": n,
-                            "oracle": want, "formula": got})
+            records.append((kind, prob.m, str(prob.colours), n, want, got))
     return checked, matched, records
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -277,3 +279,15 @@ class TestPrimitives:
         for bound in range(7):
             assert coprimality_witness(prime, bound) is None
         assert coprimality_witness(3 * prime, 6) == 3
+
+
+class TestCoprimalityError:
+    # a --jobs worker sends its error back pickled
+    @pytest.mark.parametrize("index", [None, 2])
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip_keeps_every_field(self, clone, index):
+        error = CoprimalityError("prime 2 offends", prime=2, modulus=4, index=index)
+        twin = clone(error)
+        assert type(twin) is CoprimalityError and twin is not error
+        assert (str(twin), twin.prime, twin.modulus, twin.index) == ("prime 2 offends", 2, 4, index)
