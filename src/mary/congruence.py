@@ -225,26 +225,21 @@ def residues_b(
     """residue_b(n, prob).value for every n in 0..limit, in O(limit) steps.
 
     The formula is a product of one digit-row entry per base-m digit, so
-    the residues of 0..m^(j+1) - 1 are the Kronecker product of the row at
-    position j with those of 0..m^j - 1: one _kron step per position, for
-    m <= 256 one byte-table translate per row entry.  The hypothesis is
+    with n = m x + d it is position 0's row at d times the product V_1(x)
+    over the digits of x, the level that _levels tabulates top digit
+    first: one _kron step, as in expand_c_theorem.  The hypothesis is
     checked once, through the top digit index of limit, and fails exactly
     as the first failing residue_b call would.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     m = prob.m
-    top = to_digits(limit, m).top_index
     if enforce_hypothesis:
-        _require_hypothesis(m, _bottoms(prob)[1], top)
-    acc = _digit_row(prob, 0, min(m, limit + 1))
-    power = m
-    for j in range(1, top + 1):
-        row = _digit_row(prob, j, min(m, limit // power + 1))
-        acc = _kron(row, acc, 0, m)[: limit + 1]
-        power *= m
+        _require_hypothesis(m, _bottoms(prob)[1], len(_digits(limit, m)) - 1)
+    row = _digit_row(prob, 0, min(m, limit + 1))
+    values = _kron(_levels(prob, limit, 0)[0], row, 0, m)[: limit + 1]
     # _kron's bytearray for m <= 256; a list already past that
-    return list(acc) if m <= 256 else acc
+    return list(values) if m <= 256 else values
 
 
 def decompose_gapfree(n_prime: int, base: int) -> GapFreeDecomposition:
@@ -317,8 +312,8 @@ def residues_c(
 
     A query n' = m x - d_0 factors as lead(d_0) * F(x), where F reads the
     digits of x from position 1 of n up.  F is tabulated one digit
-    position at a time, top down, from the tail sums U_p of _tail_sums:
-    with T_p the row at position p less one,
+    position at a time, top down, from the tail sums U_p, the levels of
+    _levels with add = 1: with T_p the row at position p less one,
 
         F_p(x) = F_{p+1}(x // m)                       if x % m == 0,
                  eps_p + sign_p * T_p[x % m - 1] * U_{p+1}(x // m)  otherwise.
@@ -333,10 +328,10 @@ def residues_c(
         return [0]
     m = prob.m
     top_n = -(-limit // m) * m
-    top = to_digits(top_n, m).top_index
+    top = len(_digits(top_n, m)) - 1
     if enforce_hypothesis:
         _require_hypothesis(m, _bottoms(prob)[1], top)
-    tails = _tail_sums(prob, top_n)
+    tails = _levels(prob, top_n, 1)
     # F at position top + 1, where only x = 0 occurs
     body = [0]
     for p in range(top, 0, -1):
@@ -415,10 +410,10 @@ def expand_c_theorem(
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if enforce_hypothesis:
-        _require_hypothesis(m, _bottoms(prob)[1], to_digits(truncation, m).top_index + 1)
+        _require_hypothesis(m, _bottoms(prob)[1], len(_digits(truncation, m)))
     # entries l = 1..m; below m the truncation ends the first block
     lead = _digit_row(prob, 0, min(m, truncation) + 1)[1:]
-    body = _kron(_tail_sums(prob, truncation)[0], lead, 0, m)
+    body = _kron(_levels(prob, truncation, 1)[0], lead, 0, m)
     return ModSeries(m, truncation, [1, *body[:truncation]])
 
 
@@ -460,24 +455,26 @@ def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:
     return [comb(k + d, k) % prob.m for d in range(length)]
 
 
-def _tail_sums(prob: PartitionProblem, top_n: int) -> list[bytearray | list[int]]:
-    """The gap-free tail sums U_1, ..., U_{top+1}, top the power index of top_n.
+def _levels(prob: PartitionProblem, top_n: int, add: int) -> list[bytearray | list[int]]:
+    """The digit levels V_1, ..., V_{top+1} of top_n, top its top base-m index.
 
-    Entry p - 1 is U_p over x in 0..top_n // m^p: the sum over i >= p - 1
-    of prod_{j=p..i} T_j[d_j], with d_j the digits of x m^p and T_j the
-    digit row at position j less one.  Tabulated top down by
+    Entry p - 1 is V_p over x in 0..top_n // m^p, tabulated top digit first by
 
-        U_p(x) = 1 + T_p[x % m] * U_{p+1}(x // m),
+        V_p(x) = add + R_p[x % m] * V_{p+1}(x // m),
 
-    one _kron step per position, from U_{top+1} = [1]; U_p(0) = 1 needs no
-    special case because T_p[0] = 0.  Below U_{top+1} the entries are
+    one _kron step per position, from V_{top+1} = [1], with R_p the digit
+    row at position p less add.  With add = 0, V_p(x) is the product of
+    the digit entries of x m^p, the b formula without position 0.  With
+    add = 1 it is the gap-free tail sum U_p: the sum over i >= p - 1 of
+    prod_{j=p..i} R_j[d_j], with d_j the digits of x m^p; U_p(0) = 1 needs
+    no special case because R_p[0] = 0.  Below V_{top+1} the entries are
     bytearrays when m <= 256, and lists otherwise.
     """
     m = prob.m
-    tails = [[1]]
-    for p in range(to_digits(top_n, m).top_index, 0, -1):
+    levels = [[1]]
+    for p in range(len(_digits(top_n, m)) - 1, 0, -1):
         size = top_n // m**p + 1
-        row = [(v - 1) % m for v in _digit_row(prob, p, min(m, size))]
-        tails.append(_kron(tails[-1], row, 1, m)[:size])
-    tails.reverse()
-    return tails
+        row = [(v - add) % m for v in _digit_row(prob, p, min(m, size))]
+        levels.append(_kron(levels[-1], row, add, m)[:size])
+    levels.reverse()
+    return levels

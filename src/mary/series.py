@@ -329,21 +329,16 @@ def _kron(outer, inner, add: int, m: int) -> bytearray | list[int]:
 
     With add = 0 these are the coefficients of outer(q^w) * inner(q) over
     Z_m, w = len(inner): the digit-polynomial products of the congruence
-    sweeps.  Both sides hold residues mod m.  For m <= 256 they fit in a
-    byte: each entry of the shorter side multiplies the whole longer side
-    in one bytes.translate, and the result is a bytearray.  Larger m take
-    a list.
+    sweeps, where inner is one digit row of at most m entries.  Both sides
+    hold residues mod m.  For m <= 256 they fit in a byte: each entry of
+    inner multiplies the whole of outer in one bytes.translate, written to
+    every w-th byte of the result, which is a bytearray.  Larger m take a
+    list.
     """
     if m > 256:
         if add:
             return [(add + x * y) % m for x in outer for y in inner]
         return [x * y % m for x in outer for y in inner]
-    if len(outer) <= len(inner):
-        inner = bytes(inner)
-        out = bytearray()
-        for x in outer:
-            out += inner.translate(_byte_table(x, add, m))
-        return out
     outer = bytes(outer)
     width = len(inner)
     out = bytearray(len(outer) * width)

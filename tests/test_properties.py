@@ -26,8 +26,9 @@ from mary import (
     residues_b,
     residues_c,
     smallest_prime_factor,
+    to_digits,
 )
-from mary.cli import MISMATCH_RECORD_LIMIT, _compare
+from mary.cli import MISMATCH_RECORD_LIMIT, _compare, default_grid
 from mary.congruence import _bottoms
 from test_counting import fold_b_series, fold_c_series
 
@@ -167,6 +168,31 @@ def test_formulas_fail_one_digit_index_past_the_failing_one():
     assert formula_b[:9] == b[:9] and formula_b[9] != b[9]
     # 7 rounds up to 9, whose top index is 2
     assert formula_c[1:7] == c[1:7] and formula_c[7] != c[7]
+
+
+def test_probe_grid_fails_first_one_digit_index_past_the_failing_one():
+    # on verify's 40 hypothesis-failing points, each sweep's first mismatch
+    # has top digit index idx + 1; for b it is m^(idx + 1) but on one point
+    off_power = []
+    grid = default_grid(failing=True)
+    assert len(grid) == 40
+    for prob in grid:
+        m = prob.m
+        idx = _bottoms(prob)[1][0]
+        limit = m ** (idx + 2)
+        b = count_b_series(prob, limit).coeffs
+        c = count_c_series(prob, limit).coeffs
+        formula_b = residues_b(prob, limit, enforce_hypothesis=False)
+        formula_c = residues_c(prob, limit, enforce_hypothesis=False)
+        first_b = next((n for n in range(limit + 1) if formula_b[n] != b[n] % m), None)
+        first_c = next((n for n in range(1, limit + 1) if formula_c[n] != c[n] % m), None)
+        assert first_b is not None and first_c is not None, prob
+        assert to_digits(first_b, m).top_index == idx + 1, prob
+        # the gap-free formula reads the digits of n rounded up to a multiple of m
+        assert to_digits(-(-first_c // m) * m, m).top_index == idx + 1, prob
+        if first_b != m ** (idx + 1):
+            off_power.append((m, str(prob.colours), first_b))
+    assert off_power == [(9, "1,6,5;4", 108)]
 
 
 def plain_compare(kind, prob, start, oracle, formula):

@@ -3,6 +3,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mary import (
     CoprimalityError,
@@ -17,6 +19,7 @@ from mary import (
     reduce,
     smallest_prime_factor,
 )
+from mary.series import _kron
 
 
 def random_exact(rng, degree, bound=9):
@@ -291,3 +294,26 @@ class TestCoprimalityError:
         twin = clone(error)
         assert type(twin) is CoprimalityError and twin is not error
         assert (str(twin), twin.prime, twin.modulus, twin.index) == ("prime 2 offends", 2, 4, index)
+
+
+@st.composite
+def kron_operands(draw):
+    """A modulus, and outer and inner residue rows, outer often the shorter."""
+    m = draw(st.sampled_from([2, 3, 9, 255, 256, 257, 1000]))
+    residues = st.integers(0, m - 1)
+    outer = draw(st.lists(residues, max_size=300))
+    inner = draw(st.lists(residues, max_size=min(m, 40)))
+    # the sweeps pass their levels as bytearrays when m <= 256
+    if m <= 256 and draw(st.booleans()):
+        outer = bytearray(outer)
+    return m, outer, inner
+
+
+class TestKron:
+    @settings(max_examples=200, deadline=None)
+    @given(operands=kron_operands(), add=st.sampled_from([0, 1]))
+    def test_equals_the_comprehension(self, operands, add):
+        m, outer, inner = operands
+        out = _kron(outer, inner, add, m)
+        assert type(out) is (bytearray if m <= 256 else list)
+        assert list(out) == [(add + x * y) % m for x in outer for y in inner]
