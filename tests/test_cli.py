@@ -841,7 +841,49 @@ class TestSizeLimits:
         assert err == "error: unexpected MemoryError: no room\n"
 
 
+# (arguments, the one-line message after "error: ")
+CONFIG_ERRORS = [
+    (("count", "--m", "1", "--k", "1", "--variant", "b", "--n", "1"),
+     "--m must be at least 2, got 1"),
+    (("count", "--m", "3", "--k", "2,1;", "--variant", "b", "--n", "1"),
+     "colour spec must look like 'k0,k1,...;tail', got '2,1;'"),
+    (("count", "--m", "3", "--k", "0", "--variant", "b", "--n", "1"),
+     "colour counts must be positive, got 0"),
+    (("count", "--m", "3", "--k", "2;0", "--variant", "b", "--n", "1"),
+     "tail colour count must be positive, got 0"),
+    (("count", "--m", "3", "--k", "1", "--variant", "b", "--n", "-1"),
+     "--n must be nonnegative, got -1"),
+    (("count", "--m", "3", "--k", "1", "--variant", "b", "--range", "5..3"),
+     "--range bounds must satisfy 0 <= a <= b, got '5..3'"),
+    (("count", "--m", "3", "--k", "1", "--variant", "b", "--range", "5"),
+     "--range must look like 'a..b', got '5'"),
+    (("count", "--m", "3", "--k", "1", "--variant", "b", "--range", "a..b"),
+     "--range must look like 'a..b', got 'a..b'"),
+    (("expand", "--m", "3", "--k", "1", "--N", "-1"), "--N must be nonnegative, got -1"),
+    (("verify", "--N", "-1"), "--N must be nonnegative, got -1"),
+    (("verify", "--jobs", "0"), "--jobs must be positive, got 0"),
+    # --N is checked before --jobs
+    (("verify", "--N", "-1", "--jobs", "0"), "--N must be nonnegative, got -1"),
+    (("count", "--m", "2", "--k", "1", "--variant", "b", "--n", "1000001"),
+     "--n/--range asks for 1000002 terms, more than the limit of 1000000"),
+    (("residue", "--m", "2", "--k", "1", "--variant", "b", "--range", "0..1000000"),
+     "--n/--range asks for 1000001 terms, more than the limit of 1000000"),
+    (("expand", "--m", "40", "--k", "1"),
+     "--N (default m**4) asks for 2560001 terms, more than the limit of 1000000"),
+    (("verify", "--m", "40"),
+     "--m 40 (degree m**4) asks for 2560001 terms, more than the limit of 1000000"),
+]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("argv, message", CONFIG_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in CONFIG_ERRORS])
+    def test_message_is_pinned(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_bad_colour_literal(self, capsys):
         code, _, err = run(capsys, "count", "--m", "3", "--k", "zebra", "--variant", "b",
                            "--n", "1")
