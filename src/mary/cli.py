@@ -47,7 +47,7 @@ from .counting import (
     count_c_enum,
     count_c_series,
 )
-from .series import CoprimalityError, _Record, coprimality_witness
+from .series import CoprimalityError, coprimality_witness
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -72,81 +72,42 @@ MAX_TERMS = 1_000_000
 EMIT_BLOCK_LINES = 8192
 
 
-class JobConfig(_Record):
-    """Validated run configuration shared by all subcommands.
+def configure(ns: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments and complete them in place; return them.
 
-    truncation is the --N bound: the degree for expand, the residue sweep
-    limit for verify, None for the other commands.
+    Adds colours, the parsed --k or None, and for count and residue span,
+    the inclusive (lo, hi) of --n or --range, and sets expand's default
+    --N of m**4.  The first bad value raises ValueError with the message
+    main prints.  A second call on the same namespace changes nothing.
     """
-
-    __slots__ = ("command", "m", "colours", "variant", "span", "truncation", "fmt", "jobs",
-                 "probe", "use_enum")
-
-    def __init__(
-        self,
-        command: str,
-        m: int | None = None,
-        colours: ColourSpec | None = None,
-        variant: str = "b",
-        span: tuple[int, int] | None = None,
-        truncation: int | None = None,
-        fmt: str = "text",
-        jobs: int = 1,
-        probe: bool = False,
-        use_enum: bool = False,
-    ) -> None:
-        values = (command, m, colours, variant, span, truncation, fmt, jobs, probe, use_enum)
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> JobConfig:
-        m = getattr(ns, "m", None)
-        if m is not None and m < 2:
-            raise ValueError(f"--m must be at least 2, got {m}")
-        colours = None
-        if getattr(ns, "k", None) is not None:
-            colours = ColourSpec.parse(ns.k)
-        span = None
-        if getattr(ns, "n", None) is not None:
-            if ns.n < 0:
-                raise ValueError(f"--n must be nonnegative, got {ns.n}")
-            span = (ns.n, ns.n)
-        elif getattr(ns, "range", None) is not None:
-            span = _parse_span(ns.range)
-        truncation = getattr(ns, "N", None)
-        if truncation is not None and truncation < 0:
-            raise ValueError(f"--N must be nonnegative, got {truncation}")
-        jobs = getattr(ns, "jobs", 1)
-        if jobs < 1:
-            raise ValueError(f"--jobs must be positive, got {jobs}")
-        if ns.command == "count":
-            _require_terms("--n/--range", span[1] + 1)
-        elif ns.command == "residue":
-            _require_terms("--n/--range", span[1] - span[0] + 1)
-        elif ns.command == "expand":
-            if truncation is None:
-                truncation = m ** 4
-            _require_terms("--N (default m**4)", truncation + 1)
-        elif ns.command == "verify":
-            if truncation is None:
-                truncation = RESIDUE_SWEEP_LIMIT
-            _require_terms("--N", truncation + 1)
-            # the theorem checks expand to degree m**4
-            top_m = m if m is not None else max(GRID_MODULI)
-            _require_terms(f"--m {top_m} (degree m**4)", top_m ** 4 + 1)
-        return cls(
-            command=ns.command,
-            m=m,
-            colours=colours,
-            variant=getattr(ns, "variant", "b") or "b",
-            span=span,
-            truncation=truncation,
-            fmt=getattr(ns, "fmt", "text"),
-            jobs=jobs,
-            probe=getattr(ns, "probe", False),
-            use_enum=getattr(ns, "enum", False),
-        )
+    if ns.m is not None and ns.m < 2:
+        raise ValueError(f"--m must be at least 2, got {ns.m}")
+    ns.colours = None if ns.k is None else ColourSpec.parse(ns.k)
+    if ns.command in ("count", "residue"):
+        if ns.n is None:
+            ns.span = _parse_span(ns.range)
+        elif ns.n < 0:
+            raise ValueError(f"--n must be nonnegative, got {ns.n}")
+        else:
+            ns.span = (ns.n, ns.n)
+        lo, hi = ns.span
+        # count builds its series from degree 0, residue only the n asked for
+        _require_terms("--n/--range", hi + 1 if ns.command == "count" else hi - lo + 1)
+        return ns
+    if ns.N is not None and ns.N < 0:
+        raise ValueError(f"--N must be nonnegative, got {ns.N}")
+    if ns.command == "expand":
+        if ns.N is None:
+            ns.N = ns.m ** 4
+        _require_terms("--N (default m**4)", ns.N + 1)
+        return ns
+    if ns.jobs < 1:
+        raise ValueError(f"--jobs must be positive, got {ns.jobs}")
+    _require_terms("--N", ns.N + 1)
+    # the theorem checks expand to degree m**4
+    top_m = ns.m if ns.m is not None else max(GRID_MODULI)
+    _require_terms(f"--m {top_m} (degree m**4)", top_m ** 4 + 1)
+    return ns
 
 
 def _require_terms(option: str, terms: int) -> None:
@@ -204,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--enum", action="store_true",
                        help="use the enumeration oracle instead of the series oracle")
     add_format_arg(count)
+    count.set_defaults(handler=cmd_count)
 
     residue = sub.add_parser("residue", help="digit-formula residues")
     add_problem_args(residue)
@@ -211,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="b = unrestricted, c = gap-free")
     add_span_args(residue)
     add_format_arg(residue)
+    residue.set_defaults(handler=cmd_residue)
 
     expand = sub.add_parser("expand", help="both sides of an expansion identity")
     add_problem_args(expand)
@@ -218,16 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="b = unrestricted, c = gap-free (default b)")
     expand.add_argument("--N", type=int, help="truncation degree (default m**4)")
     add_format_arg(expand)
+    expand.set_defaults(handler=cmd_expand)
 
     verify = sub.add_parser("verify", help="sweep a verification grid")
     verify.add_argument("--m", type=int, help="restrict the grid to one base")
     verify.add_argument("--k", help="restrict the grid to one colour spec")
-    verify.add_argument("--N", type=int,
+    verify.add_argument("--N", type=int, default=RESIDUE_SWEEP_LIMIT,
                         help=f"residue sweep bound (default {RESIDUE_SWEEP_LIMIT})")
     verify.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     verify.add_argument("--probe", action="store_true",
                         help="diagnostic: run hypothesis-failing grid points instead")
     add_format_arg(verify)
+    verify.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -298,10 +263,10 @@ def _texts(column: Sequence) -> Sequence[str]:
 # ---------------------------------------------------------------------------
 # count
 
-def cmd_count(cfg: JobConfig) -> int:
+def cmd_count(cfg: argparse.Namespace) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     lo, hi = cfg.span
-    if cfg.use_enum:
+    if cfg.enum:
         enum = count_b_enum if cfg.variant == "b" else count_c_enum
         # past its cap enum raises EnumerationCapError, a configuration error
         values = [0 if cfg.variant == "c" and n == 0 else enum(prob, n)
@@ -317,7 +282,7 @@ def cmd_count(cfg: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 # residue
 
-def cmd_residue(cfg: JobConfig) -> int:
+def cmd_residue(cfg: argparse.Namespace) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     lo, hi = cfg.span
     digit_cells, residues, notes = [], [], []
@@ -346,17 +311,17 @@ def cmd_residue(cfg: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 # expand
 
-def cmd_expand(cfg: JobConfig) -> int:
+def cmd_expand(cfg: argparse.Namespace) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     # the theorem side first: it refuses a problem outside the hypothesis
     # before the exact series is built
     if cfg.variant == "b":
-        rhs = expand_b_theorem(prob, cfg.truncation)
-        lhs = expand_b_product(prob, cfg.truncation)
+        rhs = expand_b_theorem(prob, cfg.N)
+        lhs = expand_b_product(prob, cfg.N)
     else:
-        rhs = expand_c_theorem(prob, cfg.truncation)
-        lhs = expand_c_product(prob, cfg.truncation)
-    _emit([range(cfg.truncation + 1), lhs.coeffs, rhs.coeffs,
+        rhs = expand_c_theorem(prob, cfg.N)
+        lhs = expand_c_product(prob, cfg.N)
+    _emit([range(cfg.N + 1), lhs.coeffs, rhs.coeffs,
            list(map(operator.eq, lhs.coeffs, rhs.coeffs))],
           cfg.fmt, ("exponent", "lhs", "rhs", "match"))
     return EXIT_OK if lhs.coeffs == rhs.coeffs else EXIT_MISMATCH
@@ -462,8 +427,9 @@ def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> 
     return checked, checked - sum(map(operator.ne, oracle, formula)), mismatches
 
 
-def run_verification(cfg: JobConfig) -> dict:
-    """The verify report, the document `verify --format json` prints.
+def run_verification(cfg: argparse.Namespace) -> dict:
+    """The verify report, the document `verify --format json` prints, of
+    verify's arguments after configure.
 
     Keys: grid (moduli, points, residue_limit, probe, specs), totals
     (checked, matched, mismatched, skipped_hypothesis) and mismatches, the
@@ -483,7 +449,7 @@ def run_verification(cfg: JobConfig) -> dict:
         points = default_grid(moduli, failing=cfg.probe)
 
     # the b and c tasks of a point share its problem, and so its digit tables
-    tasks = [(variant, prob, cfg.truncation, cfg.probe)
+    tasks = [(variant, prob, cfg.N, cfg.probe)
              for prob in points for variant in ("b", "c")]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: the pool's modules would add to every other run's start-up
@@ -515,7 +481,7 @@ def run_verification(cfg: JobConfig) -> dict:
         "grid": {
             "moduli": list(moduli),
             "points": len(points),
-            "residue_limit": cfg.truncation,
+            "residue_limit": cfg.N,
             "probe": cfg.probe,
             "specs": [f"{p.m}:{p.colours}" for p in points],
         },
@@ -530,7 +496,7 @@ def run_verification(cfg: JobConfig) -> dict:
     }
 
 
-def cmd_verify(cfg: JobConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
     report = run_verification(cfg)
     elapsed = time.perf_counter() - started
@@ -560,14 +526,6 @@ def cmd_verify(cfg: JobConfig) -> int:
     return EXIT_OK if totals["mismatched"] == 0 else EXIT_MISMATCH
 
 
-_DISPATCH = {
-    "count": cmd_count,
-    "residue": cmd_residue,
-    "expand": cmd_expand,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -577,16 +535,11 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG
     try:
-        cfg = JobConfig.from_args(ns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        code = _DISPATCH[cfg.command](cfg)
+        code = configure(ns).handler(ns)
         # flushed here, so a reader gone before the last write is caught below
         sys.stdout.flush()
         return code
-    except ValueError as exc:  # CoprimalityError included
+    except ValueError as exc:  # a bad argument or a CoprimalityError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BrokenPipeError:

@@ -246,8 +246,10 @@ def decompose_gapfree(n_prime: int, base: int) -> GapFreeDecomposition:
     """Write a positive query as n - d0 with base | n and 0 <= d0 < base.
 
     n is the least multiple of the base at or above n_prime.  The returned
-    record also locates the lowest and highest nonzero digits of n, which
-    is all the gap-free residue formula needs.
+    record also locates the lowest (s) and highest (t) nonzero digits of
+    n.  These are the quantities in which the README states the gap-free
+    formula, and the tests check residue_c against them; residue_c itself
+    reads the rounded-up digits directly.
     """
     if n_prime < 1:
         raise ValueError(f"decomposition is defined for n >= 1, got {n_prime}")

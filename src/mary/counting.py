@@ -140,9 +140,10 @@ def count_c_series(prob: PartitionProblem, truncation: int) -> ExactSeries:
     """Exact generating series of the gap-free counts c(0..truncation).
 
     The series is the sum over i >= 0 of the products
-    prod_{j=0..i} ((1 - q^{m^j})^{-k_j} - 1), where term i collects the partitions whose used part sizes are exactly
-    {m^0, ..., m^i}.  Writing C_j for the same sum over the powers from m^j
-    up, taken with q^{m^j} renamed q, the terms factor as
+    prod_{j=0..i} ((1 - q^{m^j})^{-k_j} - 1), where term i collects the
+    partitions whose used part sizes are exactly {m^0, ..., m^i}.  Writing
+    C_j for the same sum over the powers from m^j up, taken with q^{m^j}
+    renamed q, the terms factor as
 
         C_j(q) = ((1 - q)^{-k_j} - 1) * (1 + C_{j+1}(q^m)),
 

@@ -23,9 +23,9 @@ from mary.cli import (
     MISMATCH_FIELDS,
     MISMATCH_RECORD_LIMIT,
     RESIDUE_SWEEP_LIMIT,
-    JobConfig,
     _verify_cell,
     build_parser,
+    configure,
     default_grid,
     grid_colour_specs,
     main,
@@ -229,7 +229,7 @@ class TestVerify:
         argv = ["verify", "--m", "9", "--probe", "--N", "60", "--format", "json"]
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        report = run_verification(JobConfig.from_args(build_parser().parse_args(argv)))
+        report = run_verification(configure(build_parser().parse_args(argv)))
         assert report["mismatches"]
         assert json.loads(out) == report
 
@@ -376,7 +376,7 @@ class TestVerify:
         # a fresh cache, holding no equal problem from an earlier test
         monkeypatch.setattr(congruence, "_bottoms", functools.cache(congruence._bottoms.__wrapped__))
         monkeypatch.setattr(series._Record, "__eq__", counted)
-        report = run_verification(JobConfig.from_args(
+        report = run_verification(configure(
             build_parser().parse_args(["verify", "--m", "3", "--N", "30"])))
         assert report["totals"]["checked"] > 0
         assert compares == []
@@ -387,7 +387,7 @@ class TestVerify:
         reports = []
         for jobs in (1, 2, 3):
             ns.jobs = jobs
-            reports.append(run_verification(JobConfig.from_args(ns)))
+            reports.append(run_verification(configure(ns)))
         assert reports[0]["totals"]["checked"] > 0
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
@@ -449,7 +449,7 @@ class TestGrid:
             assert any(s.explicit == (1,) and s.tail == 1 for s in specs)
 
     def test_run_verification_report_shape(self):
-        cfg = JobConfig(command="verify", m=3, truncation=30)
+        cfg = configure(build_parser().parse_args(["verify", "--m", "3", "--N", "30"]))
         report = run_verification(cfg)
         totals = report["totals"]
         assert totals["checked"] == totals["matched"] + totals["mismatched"]
@@ -457,7 +457,7 @@ class TestGrid:
         assert report["grid"]["residue_limit"] == 30
 
     def test_probe_mismatch_records_are_sorted(self):
-        cfg = JobConfig(command="verify", m=9, truncation=60, probe=True)
+        cfg = configure(build_parser().parse_args(["verify", "--m", "9", "--N", "60", "--probe"]))
         mismatches = run_verification(cfg)["mismatches"]
         assert mismatches
         keys = [(r["m"], r["k"], r["n"], r["check"]) for r in mismatches]
@@ -499,7 +499,7 @@ class TestGrid:
 
         for name in names:
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-        report = run_verification(JobConfig.from_args(
+        report = run_verification(configure(
             build_parser().parse_args(["verify", "--m", "3", "--N", "30"])))
         assert report["grid"]["points"] == 14
         assert calls == dict.fromkeys(names, 14)
@@ -510,7 +510,7 @@ class TestGrid:
         (["expand", "--m", "3", "--k", "1"], 81),
     ])
     def test_n_default_resolves_per_command(self, argv, truncation):
-        assert JobConfig.from_args(build_parser().parse_args(argv)).truncation == truncation
+        assert configure(build_parser().parse_args(argv)).N == truncation
 
     def test_default_sweep_limit_in_summary(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "3", "--k", "1")
@@ -518,8 +518,8 @@ class TestGrid:
         assert "residue_limit=2000" in out.splitlines()[0]
 
     def test_capped_records_are_the_sorted_head(self, monkeypatch):
-        cfg = JobConfig(command="verify", m=2, colours=ColourSpec.parse("3"),
-                        truncation=600, probe=True)
+        cfg = configure(build_parser().parse_args(
+            ["verify", "--m", "2", "--k", "3", "--N", "600", "--probe"]))
         report = run_verification(cfg)
         prob = PartitionProblem(2, cfg.colours)
         (_, _, capped), _ = _verify_cell(("c", prob, 600, True))  # corollary, theorem

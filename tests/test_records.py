@@ -15,7 +15,6 @@ from mary import (
     PartitionProblem,
     Residue,
 )
-from mary.cli import JobConfig
 
 SPEC = ColourSpec((2, 1), 3)
 
@@ -31,9 +30,6 @@ RECORDS = [
     (HypothesisCheck, dict(ok=True, prime=None, index=None), 1, (False, 3, 2)),
     (GapFreeDecomposition, dict(n_prime=7, d0=2, n=9, base=3, s=2, t=2, digits=(1,)), 7,
      (8, 1, 9, 3, 2, 2, (1,))),
-    (JobConfig, dict(command="count", m=None, colours=None, variant="b", span=None,
-                     truncation=None, fmt="text", jobs=1, probe=False, use_enum=False),
-     1, ("count", 3, SPEC)),
 ]
 
 
