@@ -33,7 +33,7 @@ from mary.cli import (
 )
 from mary import check_hypothesis
 from mary.congruence import expand_b_product, expand_c_product
-from mary.counting import ColourSpec, PartitionProblem, count_b_series, count_c_series
+from mary.counting import PartitionProblem, count_b_series, count_c_series
 
 
 def run(capsys, *argv):
