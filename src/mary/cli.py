@@ -401,11 +401,6 @@ def _verify_cell(task: tuple) -> list[tuple]:
     ]
 
 
-def _verify_batch(batch: list[tuple]) -> list[tuple]:
-    """The checks of every task of a batch, in one flat list."""
-    return [check for task in batch for check in _verify_cell(task)]
-
-
 def _compare(kind: str, prob: PartitionProblem, start: int, oracle, formula) -> tuple:
     """(checked, matched, mismatches) of one check, from n = start on.
 
@@ -451,26 +446,18 @@ def run_verification(cfg: argparse.Namespace) -> dict:
     # the b and c tasks of a point share its problem, and so its digit tables
     tasks = [(variant, prob, cfg.N, cfg.probe)
              for prob in points for variant in ("b", "c")]
-    if cfg.jobs > 1 and len(tasks) > 1:
+    # the pool starts all its workers at once; past one per task they idle
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
         # imported here: the pool's modules would add to every other run's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts all its workers at once; past one per task they idle
-        workers = min(cfg.jobs, len(tasks))
-        # one batch per worker, so each pays one round trip, not one per
-        # task.  Longest series first, dealt in turn: the batches then end
-        # within one task's cost of each other.  At equal length c, the
-        # costlier variant, goes first.
-        queue = sorted(tasks, key=lambda task: (max(task[2], task[1].m ** 4), task[0]),
-                       reverse=True)
-        batches = [queue[w::workers] for w in range(workers)]
-        # the checks come back in batch order, not task order: the totals
-        # are sums, and no two records share the key the mismatches are
-        # sorted by, so neither order reaches the report
+        # one chunk of consecutive tasks per worker: one round trip each
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            checks = list(chain.from_iterable(pool.map(_verify_batch, batches)))
+            cells = list(pool.map(_verify_cell, tasks, chunksize=-(-len(tasks) // workers)))
     else:
-        checks = _verify_batch(tasks)
+        cells = map(_verify_cell, tasks)
+    checks = list(chain.from_iterable(cells))
 
     checked = sum(check[0] for check in checks)
     matched = sum(check[1] for check in checks)

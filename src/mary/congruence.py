@@ -257,7 +257,7 @@ def decompose_gapfree(n_prime: int, base: int) -> GapFreeDecomposition:
         raise ValueError("base must be at least 2")
     d0 = (-n_prime) % base
     n = n_prime + d0
-    digits = to_digits(n, base).digits
+    digits = _digits(n, base)
     s = next(j for j, d in enumerate(digits) if d)
     t = len(digits) - 1
     return GapFreeDecomposition(

@@ -157,15 +157,15 @@ def count_c_series(prob: PartitionProblem, truncation: int) -> ExactSeries:
     return ExactSeries(truncation, _c_coeffs(prob, truncation, 0))
 
 
-def count_b_enum(prob: PartitionProblem, n: int, cap: int = ENUMERATION_CAP) -> int:
+def count_b_enum(prob: PartitionProblem, n: int) -> int:
     """Unrestricted count b(n) by direct recursion over powers.
 
     Walks the powers of m from the largest one at most n downward; at each
     power it chooses how many parts of that size appear and multiplies by
     C(parts + k - 1, k - 1), the number of colour multisets of that size.
-    Refuses n above the cap, where the series oracle should be used.
+    Refuses n above ENUMERATION_CAP, where the series oracle should be used.
     """
-    _check_enum_args(n, cap)
+    _check_enum_args(n)
     if n == 0:
         return 1
     powers = _powers_up_to(prob.m, n)
@@ -184,7 +184,7 @@ def count_b_enum(prob: PartitionProblem, n: int, cap: int = ENUMERATION_CAP) -> 
     return ways(n, len(powers) - 1)
 
 
-def count_c_enum(prob: PartitionProblem, n: int, cap: int = ENUMERATION_CAP) -> int:
+def count_c_enum(prob: PartitionProblem, n: int) -> int:
     """Gap-free count c(n) by direct recursion over powers.
 
     For each candidate top power m^i affordable within n (the used sizes
@@ -194,7 +194,7 @@ def count_c_enum(prob: PartitionProblem, n: int, cap: int = ENUMERATION_CAP) -> 
     """
     if n < 1:
         raise ValueError(f"gap-free counts are defined for n >= 1, got {n}")
-    _check_enum_args(n, cap)
+    _check_enum_args(n)
     powers = _powers_up_to(prob.m, n)
 
     @cache
@@ -251,11 +251,11 @@ def _powers_up_to(m: int, n: int) -> list[int]:
     return powers
 
 
-def _check_enum_args(n: int, cap: int) -> None:
+def _check_enum_args(n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"n = {n} exceeds the enumeration cap {cap}; "
+            f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}; "
             f"use the series oracle (count_b_series / count_c_series) instead"
         )

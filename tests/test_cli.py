@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -276,7 +277,7 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -288,10 +289,10 @@ class TestVerify:
         # no task, no pool
         assert started == ([] if workers is None else [workers])
 
-    # --N 30 leaves m**4 the longer series from m = 3 on: tasks of five lengths
     @pytest.mark.parametrize("argv", [("--N", "30"), ("--m", "9", "--probe", "--N", "300"),
                                       ("--m", "5", "--k", "2,3;1")])
-    def test_pool_gets_one_balanced_batch_per_worker(self, capsys, monkeypatch, argv):
+    def test_pool_maps_the_tasks_in_order_one_chunk_per_worker(self, capsys, monkeypatch,
+                                                               argv):
         import concurrent.futures
 
         sent = []
@@ -306,37 +307,34 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, batches):
-                sent.append((self.max_workers, batches))
-                return map(fn, batches)
+            def map(self, fn, tasks, chunksize):
+                tasks = list(tasks)
+                sent.append((fn, tasks, self.max_workers, chunksize))
+                return map(fn, tasks)
 
-        def cost(task):
-            _, prob, limit, _ = task
-            return max(limit, prob.m ** 4)
+        serial_tasks = []
+        cell = cli._verify_cell
 
+        def recorded(task):
+            serial_tasks.append(task)
+            return cell(task)
+
+        monkeypatch.setattr(cli, "_verify_cell", recorded)
         serial = run(capsys, "verify", *argv, "--format", "json", "--jobs", "1")
-        points = json.loads(serial[1])["grid"]["specs"]
-        tasks = sorted((variant, int(m), k) for m, k in (spec.split(":") for spec in points)
-                       for variant in "bc")
+        monkeypatch.setattr(cli, "_verify_cell", cell)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         for jobs in (2, 3, 64):
             sent.clear()
             pooled = run(capsys, "verify", *argv, "--format", "json", "--jobs", str(jobs))
-            # tasks reach the workers out of grid order: the same report as one worker's
             assert pooled[:2] == serial[:2]
 
-            (workers, batches), = sent
-            assert workers == min(jobs, len(tasks)) == len(batches)
-            sent_tasks = [(variant, prob.m, str(prob.colours))
-                          for batch in batches for variant, prob, _, _ in batch]
-            assert sorted(sent_tasks) == tasks
-            loads = [sum(map(cost, batch)) for batch in batches]
-            assert max(loads) <= min(loads) + max(cost(task) for batch in batches for task in batch)
-            if workers == 2 and len(tasks) > 2:
-                # equal lengths are not dealt one variant to each batch
-                assert all({task[0] for task in batch} == {"b", "c"} for batch in batches)
+            (fn, tasks, workers, chunksize), = sent
+            assert fn is cell
+            assert tasks == serial_tasks
+            assert workers == min(jobs, len(tasks))
+            assert chunksize == math.ceil(len(tasks) / workers)
 
-    # the pool's checks arrive in batch order, and the report must not show it
+    # the report must not show the order in which the pool's checks arrive
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("argv", [("--N", "30"), ("--m", "9", "--probe", "--N", "300"),
                                       ("--m", "2", "--k", "3", "--probe", "--N", "300")])
@@ -344,7 +342,7 @@ class TestVerify:
         import concurrent.futures
 
         class ReversingPool:
-            """Runs the last batch first and each batch's tasks last first."""
+            """Runs the tasks last first."""
 
             def __init__(self, max_workers):
                 pass
@@ -355,8 +353,8 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, batches):
-                return [fn(batch[::-1]) for batch in reversed(batches)]
+            def map(self, fn, tasks, chunksize):
+                return [fn(task) for task in reversed(tasks)]
 
         serial = run(capsys, "verify", *argv, "--format", fmt, "--jobs", "1")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversingPool)

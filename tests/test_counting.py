@@ -201,11 +201,15 @@ class TestEnumerationOracle:
         with pytest.raises(EnumerationCapError):
             count_c_enum(problem(2, "1"), ENUMERATION_CAP + 1)
 
-    def test_cap_is_adjustable(self):
+    def test_cap_itself_is_answered(self):
         prob = problem(2, "1")
+        n = ENUMERATION_CAP
+        assert count_b_enum(prob, n) == count_b_series(prob, n).coeffs[n]
+        assert count_c_enum(prob, n) == count_c_series(prob, n).coeffs[n]
         with pytest.raises(EnumerationCapError):
-            count_b_enum(prob, 20, cap=10)
-        assert count_b_enum(prob, 20, cap=20) == count_b_series(prob, 20).coeffs[20]
+            count_b_enum(prob, n + 1)
+        with pytest.raises(EnumerationCapError):
+            count_c_enum(prob, n + 1)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
