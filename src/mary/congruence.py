@@ -237,9 +237,7 @@ def residues_b(
     if enforce_hypothesis:
         _require_hypothesis(m, _bottoms(prob)[1], len(_digits(limit, m)) - 1)
     row = _digit_row(prob, 0, min(m, limit + 1))
-    values = _kron(_levels(prob, limit, 0)[0], row, 0, m)[: limit + 1]
-    # _kron's bytearray for m <= 256; a list already past that
-    return list(values) if m <= 256 else values
+    return list(_kron(_levels(prob, limit, 0)[0], row, 0, m)[: limit + 1])
 
 
 def decompose_gapfree(n_prime: int, base: int) -> GapFreeDecomposition:

@@ -336,9 +336,7 @@ def _kron(outer, inner, add: int, m: int) -> bytearray | list[int]:
     list.
     """
     if m > 256:
-        if add:
-            return [(add + x * y) % m for x in outer for y in inner]
-        return [x * y % m for x in outer for y in inner]
+        return [(add + x * y) % m for x in outer for y in inner]
     outer = bytes(outer)
     width = len(inner)
     out = bytearray(len(outer) * width)

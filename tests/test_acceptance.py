@@ -31,13 +31,13 @@ from mary import (
     neg_pow_series_mod,
     reduce,
     residue_b,
-    residue_c,
     to_digits,
 )
 from mary.cli import GRID_MODULI, default_grid
+from point_tables import GRID_LIMIT, grid_point_residues
 
 MODULI = (2, 3, 5, 7, 9)
-RESIDUE_LIMIT = 2000
+RESIDUE_LIMIT = GRID_LIMIT
 
 
 def criterion(label):
@@ -104,11 +104,13 @@ def test_oracle_cross_agreement():
 def test_unrestricted_residues_match_oracle():
     grid = default_grid()
     assert len(grid) >= 50
+    table = grid_point_residues(False)
     compared = 0
     for prob in grid:
         coeffs = count_b_series(prob, RESIDUE_LIMIT).coeffs
+        b = table[prob][0]
         for n in range(RESIDUE_LIMIT + 1):
-            assert residue_b(n, prob).value == coeffs[n] % prob.m, (prob, n)
+            assert b[n] == coeffs[n] % prob.m, (prob, n)
             compared += 1
     return f"{compared} residues across {len(grid)} grid points"
 
@@ -117,11 +119,13 @@ def test_unrestricted_residues_match_oracle():
 def test_gapfree_residues_match_oracle():
     grid = default_grid()
     assert len(grid) >= 50
+    table = grid_point_residues(False)
     compared = 0
     for prob in grid:
         coeffs = count_c_series(prob, RESIDUE_LIMIT).coeffs
+        c = table[prob][1]
         for n in range(1, RESIDUE_LIMIT + 1):
-            assert residue_c(n, prob).value == coeffs[n] % prob.m, (prob, n)
+            assert c[n] == coeffs[n] % prob.m, (prob, n)
             compared += 1
     # the decomposition depends on n and m alone: one pass per modulus
     # covers every compared (point, n) pair

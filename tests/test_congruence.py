@@ -29,6 +29,7 @@ from mary import (
 )
 from mary import series
 from mary.cli import default_grid
+from point_tables import GRID_LIMIT, grid_point_residues, point_residues
 
 
 def problem(m, text):
@@ -331,13 +332,6 @@ class TestExpansions:
         assert expand_c_product(prob, 8).coeffs[0] == 1
 
 
-def point_residues(prob, limit, enforce):
-    b = [residue_b(n, prob, enforce_hypothesis=enforce).value for n in range(limit + 1)]
-    c = [0] + [residue_c(n, prob, enforce_hypothesis=enforce).value
-               for n in range(1, limit + 1)]
-    return b, c
-
-
 def mul_chain_b_theorem(prob, truncation):
     """expand_b_theorem as a series.mul chain of one digit polynomial per position."""
     m = prob.m
@@ -402,10 +396,9 @@ def mul_chain_c_theorem(prob, truncation, *, enforce_hypothesis=True):
 class TestBatchResidues:
     @pytest.mark.parametrize("failing", [False, True])
     def test_match_point_formulas_on_grid(self, failing):
-        for prob in default_grid(failing=failing):
-            b, c = point_residues(prob, 2000, not failing)
-            assert residues_b(prob, 2000, enforce_hypothesis=not failing) == b, prob
-            assert residues_c(prob, 2000, enforce_hypothesis=not failing) == c, prob
+        for prob, (b, c) in grid_point_residues(failing).items():
+            assert residues_b(prob, GRID_LIMIT, enforce_hypothesis=not failing) == b, prob
+            assert residues_c(prob, GRID_LIMIT, enforce_hypothesis=not failing) == c, prob
 
     @pytest.mark.parametrize("m, spec", [
         (15, "3,2;2"), (15, "1,1,2;1"), (25, "5,4;3"), (27, "2,1,2;2"),
