@@ -211,12 +211,7 @@ def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True
     bottoms, failure = _bottoms(prob)
     if enforce_hypothesis:
         _require_hypothesis(prob.m, failure, len(digits) - 1)
-    last = len(bottoms) - 1
-    value = 1
-    for j, d in enumerate(digits):
-        k = bottoms[min(j, last)]
-        value = value * comb(k + d, k) % prob.m
-    return Residue(value, prob.m)
+    return Residue(_level_at(bottoms, prob.m, 0, digits, 0), prob.m)
 
 
 def residues_b(
@@ -281,9 +276,11 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
 
     in Z_m, where eps_s is 1 for odd s and 0 for even s.  The leading
     binomial, lifted through the modulus, is the index-0 digit entry at
-    n' mod m; the rest is F_1, read top digit first by the U_p / F_p
-    recursion that residues_c tabulates.  The result equals c(n') mod m
-    under the coprimality hypothesis through index t.
+    n' mod m.  Since d_s >= 1, the tail sum U_s of _levels (add = 1) at
+    y - 1, y = n // m^s, is 1 + (C(k_s + d_s - 1, k_s) - 1) times the
+    i-sum.  So the bracket is U_s(y - 1) at odd s and 1 - U_s(y - 1) at
+    even s, one walk of _level_at.  The result equals c(n') mod m under
+    the coprimality hypothesis through index t.
     """
     if n_prime < 1:
         raise ValueError(f"the gap-free residue formula covers n >= 1, got {n_prime}")
@@ -292,17 +289,13 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
     bottoms, failure = _bottoms(prob)
     if enforce_hypothesis:
         _require_hypothesis(m, failure, len(digits) - 1)
-    last = len(bottoms) - 1
-    tail_sum, body = 1, 0
-    for p in range(len(digits) - 1, 0, -1):
-        d = digits[p]
-        k = bottoms[min(p, last)]
-        if d:
-            below = (comb(k + d - 1, k) - 1) * tail_sum
-            body = (1 + below if p % 2 else -below) % m
-        tail_sum = (1 + (comb(k + d, k) - 1) * tail_sum) % m
+    s = 1
+    while not digits[s]:
+        s += 1
+    digits[s] -= 1
+    tail = _level_at(bottoms, m, s, digits[s:], 1)
     k = bottoms[0]
-    return Residue(comb(k + n_prime % m, k) * body % m, m)
+    return Residue(comb(k + n_prime % m, k) * (tail if s % 2 else 1 - tail) % m, m)
 
 
 def residues_c(
@@ -310,13 +303,10 @@ def residues_c(
 ) -> list[int]:
     """residue_c(n, prob).value for every n in 1..limit, with 0 at index 0.
 
-    A query n' = m x - d_0 factors as lead(d_0) * F(x), where F reads the
-    digits of x from position 1 of n up.  F is tabulated one digit
-    position at a time, top down, from the tail sums U_p, the levels of
-    _levels with add = 1: with T_p the row at position p less one,
-
-        F_p(x) = F_{p+1}(x // m)                       if x % m == 0,
-                 eps_p + sign_p * T_p[x % m - 1] * U_{p+1}(x // m)  otherwise.
+    A query n' = m x - d_0 factors as lead(d_0) * F(x).  With x = y m^(s-1)
+    and y % m >= 1, F(x) is U_s(y - 1) at odd s and 1 - U_s(y - 1) at
+    even s (see residue_c), so each level s - 1 of _levels with add = 1
+    is written to every multiple of m^(s-1), the higher ones last.
 
     Costs O(limit) steps.  The hypothesis is checked once, through the
     top digit index of the largest rounded-up n, and fails exactly as the
@@ -332,18 +322,13 @@ def residues_c(
     if enforce_hypothesis:
         _require_hypothesis(m, _bottoms(prob)[1], top)
     tails = _levels(prob, top_n, 1)
-    # F at position top + 1, where only x = 0 occurs
-    body = [0]
-    for p in range(top, 0, -1):
-        size = len(tails[p - 1])
-        eps = p % 2
-        sign = 1 if eps else -1
-        # a placeholder, then sign_p * T_p[d - 1] for the nonzero digits d that occur
-        row = [0, *(sign * (v - 1) % m for v in _digit_row(prob, p, min(m, size) - 1))]
-        next_body = _kron(tails[p], row, eps, m)
-        # the digit-0 column is F_{p+1}
-        next_body[:: len(row)] = body
-        body = next_body[:size]
+    size = top_n // m + 1
+    body = bytearray(size) if m <= 256 else [0] * size
+    for s in range(1, top + 1):
+        step = m ** (s - 1)
+        tail = tails[s - 1][: top_n // m**s]
+        # 1 + (m - 1) * U = 1 - U mod m
+        body[step::step] = tail if s % 2 else _kron(tail, (m - 1,), 1, m)
     # lead(d_0) for d_0 = m - 1, ..., 1, 0, the order n' ascends within a block
     lead = _digit_row(prob, 0, min(m, limit + 1))
     lead = lead[1:] + lead[:1]
@@ -453,6 +438,21 @@ def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:
     bottoms = _bottoms(prob)[0]
     k = bottoms[min(index, len(bottoms) - 1)]
     return [comb(k + d, k) % prob.m for d in range(length)]
+
+
+def _level_at(bottoms: tuple[int, ...], m: int, p: int, digits: list[int], add: int) -> int:
+    """V_p(x) of _levels at one x, from the digits of x, least significant first.
+
+    Walked top digit first, one binomial per digit: no m-entry row is built.
+    """
+    last = len(bottoms) - 1
+    value, j = 1, p + len(digits)
+    for d in reversed(digits):
+        j -= 1
+        # a conditional, not min(): the call would double the walk's cost
+        k = bottoms[j if j < last else last]
+        value = (add + (comb(k + d, k) - add) * value) % m
+    return value
 
 
 def _levels(prob: PartitionProblem, top_n: int, add: int) -> list[bytearray | list[int]]:

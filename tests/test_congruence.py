@@ -407,10 +407,19 @@ class TestBatchResidues:
     def test_match_point_formulas_on_composite_moduli(self, m, spec):
         prob = problem(m, spec)
         assert check_hypothesis(prob, 10)
-        for limit in (0, 1, m - 1, m, m + 1, 700):
+        for limit in (0, 1, m - 1, m, m + 1, 700, m * m + m):
             b, c = point_residues(prob, limit, True)
             assert residues_b(prob, limit) == b
             assert residues_c(prob, limit) == c
+
+    def test_match_point_formulas_past_the_square_of_a_list_modulus(self):
+        # m > 256 takes the list path; past m^2 the lowest nonzero digit of
+        # the rounded-up n reaches position 2, the even case 1 - U_2
+        prob = problem(257, "3,2;1")
+        limit = 257 * 257 + 257
+        b, c = point_residues(prob, limit, True)
+        assert residues_b(prob, limit) == b
+        assert residues_c(prob, limit) == c
 
     def test_base_above_limit_builds_short_rows(self):
         prob = problem(10007, "3,2;4")
@@ -661,11 +670,18 @@ unnormalized_specs = st.builds(
 class TestReferenceForms:
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(2, 60), spec=unnormalized_specs, enforce=st.booleans(),
-           ns=st.lists(st.one_of(st.integers(0, 10**5), st.integers(10**999, 10**1000)),
+           ns=st.lists(st.one_of(st.integers(0, 10**5), st.integers(10**999, 10**1000),
+                                 st.tuples(st.integers(10**999, 10**1000), st.integers(1, 4),
+                                           st.integers(0, 59))),
                        min_size=1, max_size=4))
     def test_point_formulas_equal_the_references(self, m, spec, enforce, ns):
         prob = PartitionProblem(m, spec)
         for n in ns:
+            if isinstance(n, tuple):
+                # y m^j - d rounds up to y m^j: the lowest nonzero digit
+                # sits at s >= j, so even s is drawn often
+                y, j, d = n
+                n = y * m**j - d % m
             assert outcome(residue_b, n, prob, enforce) == \
                 outcome(reference_residue_b, n, prob, enforce), n
             assert outcome(residue_c, n, prob, enforce) == \
