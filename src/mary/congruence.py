@@ -10,7 +10,6 @@ checked coefficient by coefficient against the exact counting oracles.
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 
 from . import series
@@ -182,13 +181,7 @@ def binom_lift(top: int, bottom: int, modulus: int) -> Residue:
         raise ValueError("bottom must be nonnegative")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    witness = coprimality_witness(modulus, bottom)
-    if witness is not None:
-        raise CoprimalityError(
-            f"prime {witness} divides both the modulus {modulus} and {bottom}!",
-            prime=witness,
-            modulus=modulus,
-        )
+    series._require_coprime(modulus, bottom, f"{bottom}!")
     if top < bottom:
         top += (bottom - top + modulus - 1) // modulus * modulus
     return Residue(comb(top, bottom) % modulus, modulus)
@@ -415,7 +408,6 @@ def _require_hypothesis(m: int, failure: tuple[int, int] | None, max_index: int)
         )
 
 
-@cache
 def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] | None]:
     """The binomial bottom of each digit position, and where the hypothesis fails.
 
@@ -423,14 +415,21 @@ def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] |
     one at j = 0, and the hypothesis asks every prime factor of m to exceed
     that k.  Returns the bottoms (k_0 - 1, k_1, ..., k_r, tail), the tail
     serving every later position, and the first failing (index, prime) or None.
+    Filled in on first use and kept on the problem, freed with it.
     """
-    colours = prob.colours
-    bottoms = (colours.explicit[0] - 1, *colours.explicit[1:], colours.tail)
-    for index, k in enumerate(bottoms):
-        witness = coprimality_witness(prob.m, k)
-        if witness is not None:
-            return bottoms, (index, witness)
-    return bottoms, None
+    try:
+        return prob._digit_table
+    except AttributeError:
+        colours = prob.colours
+        bottoms = (colours.explicit[0] - 1, *colours.explicit[1:], colours.tail)
+        failure = None
+        for index, k in enumerate(bottoms):
+            witness = coprimality_witness(prob.m, k)
+            if witness is not None:
+                failure = index, witness
+                break
+        object.__setattr__(prob, "_digit_table", (bottoms, failure))
+        return prob._digit_table
 
 
 def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:

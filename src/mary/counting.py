@@ -103,18 +103,14 @@ class ColourSpec(_Record):
 class PartitionProblem(_Record):
     """A base m >= 2 together with the colour counts for its powers."""
 
-    # the hash is taken once: each point formula call looks the problem up
-    __slots__ = ("m", "colours", "_hash")
+    # _digit_table is filled by congruence._bottoms on first use
+    __slots__ = ("m", "colours", "_digit_table")
 
     def __init__(self, m: int, colours: ColourSpec) -> None:
         if m < 2:
             raise ValueError(f"base must be at least 2, got {m}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "colours", colours)
-        object.__setattr__(self, "_hash", hash((m, colours)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def count_b_series(prob: PartitionProblem, truncation: int) -> ExactSeries:

@@ -113,6 +113,17 @@ def coprimality_witness(modulus: int, bound: int) -> int | None:
     return modulus if modulus <= bound else None
 
 
+def _require_coprime(modulus: int, bound: int, factorial: str) -> None:
+    """Raise CoprimalityError if a prime divides both modulus and bound!, named factorial."""
+    witness = coprimality_witness(modulus, bound)
+    if witness is not None:
+        raise CoprimalityError(
+            f"prime {witness} divides both the modulus {modulus} and {factorial}",
+            prime=witness,
+            modulus=modulus,
+        )
+
+
 def smallest_prime_factor(n: int) -> int:
     """Smallest prime dividing n, for n >= 2."""
     if n < 2:
@@ -267,13 +278,7 @@ def neg_pow_series_mod(period: int, count: int, modulus: int, truncation: int) -
         raise ValueError("modulus must be at least 2")
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    witness = coprimality_witness(modulus, count - 1)
-    if witness is not None:
-        raise CoprimalityError(
-            f"prime {witness} divides both the modulus {modulus} and ({count} - 1)!",
-            prime=witness,
-            modulus=modulus,
-        )
+    _require_coprime(modulus, count - 1, f"({count} - 1)!")
     coeffs = [0] * (truncation + 1)
     for l in range(modulus):
         exponent = period * l

@@ -1,5 +1,4 @@
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -362,22 +361,32 @@ class TestVerify:
             assert run(capsys, "verify", *argv, "--format", fmt, "--jobs", jobs)[:2] == serial[:2]
 
     def test_tasks_of_a_point_share_its_problem(self, monkeypatch):
-        # the c task's digit-table lookup finds the b task's problem by
-        # identity, so no record is compared field by field
+        # the c task reads the digit table that the b task left on their
+        # shared problem: no record is compared field by field, and each
+        # point's table costs one witness call per digit bottom
         compares = []
+        witnesses = []
         record_eq = series._Record.__eq__
+        witness = congruence.coprimality_witness
 
         def counted(self, other):
             compares.append(type(self).__name__)
             return record_eq(self, other)
 
-        # a fresh cache, holding no equal problem from an earlier test
-        monkeypatch.setattr(congruence, "_bottoms", functools.cache(congruence._bottoms.__wrapped__))
+        def counted_witness(modulus, bound):
+            witnesses.append(bound)
+            return witness(modulus, bound)
+
         monkeypatch.setattr(series._Record, "__eq__", counted)
+        monkeypatch.setattr(congruence, "coprimality_witness", counted_witness)
         report = run_verification(configure(
             build_parser().parse_args(["verify", "--m", "3", "--N", "30"])))
+        calls = len(witnesses)
         assert report["totals"]["checked"] > 0
         assert compares == []
+        points = default_grid((3,))
+        assert report["grid"]["points"] == len(points) == 14
+        assert calls == sum(len(congruence._bottoms(prob)[0]) for prob in points) == 44
 
     @pytest.mark.parametrize("argv", [("--m", "5"), ("--m", "9", "--probe", "--N", "300")])
     def test_report_equal_at_one_two_and_three_workers(self, argv):

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -106,6 +108,28 @@ class TestHypothesis:
         assert check_hypothesis(problem(3, "1,2,3;1"), 1)
         assert not check_hypothesis(problem(3, "1,2,3;1"), 2)
 
+    def test_digit_tables_are_freed_with_their_problems(self):
+        # each problem keeps its own digit table, so querying many distinct
+        # problems and dropping them leaves no memory behind
+        def query(count):
+            for i in range(count):
+                prob = PartitionProblem(7, ColourSpec((1, 2, 3 + i), 1))
+                residue_b(1, prob, enforce_hypothesis=False)
+                residue_c(1, prob, enforce_hypothesis=False)
+                check_hypothesis(prob, 0)
+
+        query(1)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            query(5000)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024
+
 
 class TestBinomLift:
     def test_plain_value(self):
@@ -119,8 +143,9 @@ class TestBinomLift:
 
     def test_rejects_shared_prime(self):
         with pytest.raises(CoprimalityError) as info:
-            binom_lift(5, 2, 2)
-        assert info.value.prime == 2
+            binom_lift(5, 3, 6)
+        assert str(info.value) == "prime 2 divides both the modulus 6 and 3!"
+        assert (info.value.prime, info.value.modulus, info.value.index) == (2, 6, None)
 
     def test_rejects_negative_bottom(self):
         with pytest.raises(ValueError):

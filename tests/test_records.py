@@ -14,7 +14,9 @@ from mary import (
     ModSeries,
     PartitionProblem,
     Residue,
+    check_hypothesis,
 )
+from mary.congruence import _bottoms
 
 SPEC = ColourSpec((2, 1), 3)
 
@@ -31,6 +33,17 @@ RECORDS = [
     (GapFreeDecomposition, dict(n_prime=7, d0=2, n=9, base=3, s=2, t=2, digits=(1,)), 7,
      (8, 1, 9, 3, 2, 2, (1,))),
 ]
+
+
+def digit_table(prob):
+    """The problem's digit table, filled by a public call."""
+    check_hypothesis(prob, 0)
+    return _bottoms(prob)
+
+
+# type -> what fills and reads its private slots before the pickle and
+# copy round trips
+FILLS = {PartitionProblem: digit_table}
 
 
 @pytest.mark.parametrize("cls, fields, required, other_args", RECORDS,
@@ -65,10 +78,15 @@ def test_record_semantics(cls, fields, required, other_args):
         record.extra = 1
     assert [getattr(record, name) for name in names] == values
 
-    # rebuilt through the constructor by pickle and copy
+    # rebuilt through the constructor by pickle and copy: a filled private
+    # slot is not carried over, but the clone fills it alike
+    fill = FILLS.get(cls, lambda record: None)
+    filled = fill(record)
     copies = [pickle.loads(pickle.dumps(record, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(record), copy.deepcopy(record)]
     for clone in copies:
         assert type(clone) is cls and clone == record
         assert hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+        assert fill(clone) == filled

@@ -194,9 +194,9 @@ class TestNegPowMod:
 
     def test_rejects_shared_prime(self):
         with pytest.raises(CoprimalityError) as info:
-            neg_pow_series_mod(1, 3, 2, 4)
-        assert info.value.prime == 2
-        assert "2" in str(info.value)
+            neg_pow_series_mod(1, 4, 6, 4)
+        assert str(info.value) == "prime 2 divides both the modulus 6 and (4 - 1)!"
+        assert (info.value.prime, info.value.modulus, info.value.index) == (2, 6, None)
 
     def test_agrees_with_exact_reduction(self):
         # the identity the modular constructor is built to satisfy
