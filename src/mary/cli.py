@@ -285,19 +285,17 @@ def cmd_count(cfg: argparse.Namespace) -> int:
 def cmd_residue(cfg: argparse.Namespace) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     lo, hi = cfg.span
+    # the gap-free formula covers n >= 1 and reads n rounded up to a multiple of m
+    formula, first, unit = (residue_b, 0, 1) if cfg.variant == "b" else (residue_c, 1, prob.m)
     digit_cells, residues, notes = [], [], []
     for n in range(lo, hi + 1):
         digits, value, note = "", "", ""
-        if cfg.variant == "c" and n == 0:
+        if n < first:
             note = "undefined for n = 0"
         else:
             try:
-                if cfg.variant == "b":
-                    value = residue_b(n, prob).value
-                    digits = ",".join(map(str, _digits(n, prob.m)))
-                else:
-                    value = residue_c(n, prob).value
-                    digits = ",".join(map(str, _digits(-(-n // prob.m) * prob.m, prob.m)))
+                value = formula(n, prob).value
+                digits = ",".join(map(str, _digits(-(-n // unit) * unit, prob.m)))
             except CoprimalityError as exc:
                 note = f"skipped: {exc}"
         digit_cells.append(digits)
@@ -356,9 +354,8 @@ def grid_colour_specs(m: int, quota: int, *, failing: bool = False) -> list[Colo
                     if (extra or k0 != tail) and extra[-1:] != (tail,)
                     and (p > max(k0 - 1, *extra, tail)) != failing)
     chosen = singles[:quota]
-    if len(chosen) < quota and longer:
-        rng = random.Random(1009 * m + (1 if failing else 0))
-        chosen.extend(rng.sample(longer, min(quota - len(chosen), len(longer))))
+    rng = random.Random(1009 * m + (1 if failing else 0))
+    chosen.extend(rng.sample(longer, min(quota - len(chosen), len(longer))))
     chosen.sort()
     return [ColourSpec(explicit, tail) for explicit, tail in chosen]
 
@@ -386,12 +383,11 @@ def _verify_cell(task: tuple) -> list[tuple]:
     degree = prob.m ** 4
     # module globals looked up per call: perfbench's tracer times them by replacing them
     if variant == "b":
-        product, corollary, theorem = expand_b_product, residues_b, expand_b_theorem
+        product, corollary, theorem, start = expand_b_product, residues_b, expand_b_theorem, 0
     else:
-        product, corollary, theorem = expand_c_product, residues_c, expand_c_theorem
+        # the gap-free formula covers n >= 1 only
+        product, corollary, theorem, start = expand_c_product, residues_c, expand_c_theorem, 1
     oracle = product(prob, max(limit, degree)).coeffs
-    # the gap-free formula covers n >= 1 only
-    start = 1 if variant == "c" else 0
     # the sweep's list as a tuple, like the oracle: a list never equals a tuple
     return [
         _compare("corollary-" + variant, prob, start, oracle[:limit + 1],

@@ -224,6 +224,7 @@ def residues_b(
     m = prob.m
     if enforce_hypothesis:
         _require_hypothesis(m, _bottoms(prob)[1], len(_digits(limit, m)) - 1)
+    # at most limit + 1 entries: m entries would never finish at a huge m
     row = _digit_row(prob, 0, min(m, limit + 1))
     return list(_kron(_levels(prob, limit, 0)[0], row, 0, m)[: limit + 1])
 
@@ -315,8 +316,7 @@ def residues_c(
     if enforce_hypothesis:
         _require_hypothesis(m, _bottoms(prob)[1], top)
     tails = _levels(prob, top_n, 1)
-    size = top_n // m + 1
-    body = bytearray(size) if m <= 256 else [0] * size
+    body = [0] * (top_n // m + 1)
     for s in range(1, top + 1):
         step = m ** (s - 1)
         tail = tails[s - 1][: top_n // m**s]
@@ -415,19 +415,18 @@ def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] |
     one at j = 0, and the hypothesis asks every prime factor of m to exceed
     that k.  Returns the bottoms (k_0 - 1, k_1, ..., k_r, tail), the tail
     serving every later position, and the first failing (index, prime) or None.
-    Filled in on first use and kept on the problem, freed with it.
+    A position fails exactly when its bottom reaches the smallest prime
+    factor p of m, so one search for p, up to the largest bottom, decides
+    every position.  Filled in on first use and kept on the problem, freed
+    with it.
     """
     try:
         return prob._digit_table
     except AttributeError:
         colours = prob.colours
         bottoms = (colours.explicit[0] - 1, *colours.explicit[1:], colours.tail)
-        failure = None
-        for index, k in enumerate(bottoms):
-            witness = coprimality_witness(prob.m, k)
-            if witness is not None:
-                failure = index, witness
-                break
+        p = coprimality_witness(prob.m, max(bottoms))
+        failure = None if p is None else (next(i for i, k in enumerate(bottoms) if k >= p), p)
         object.__setattr__(prob, "_digit_table", (bottoms, failure))
         return prob._digit_table
 

@@ -183,10 +183,11 @@ def count_b_enum(prob: PartitionProblem, n: int) -> int:
 def count_c_enum(prob: PartitionProblem, n: int) -> int:
     """Gap-free count c(n) by direct recursion over powers.
 
-    For each candidate top power m^i affordable within n (the used sizes
-    must be exactly m^0..m^i, costing at least 1 + m + ... + m^i), counts
-    the partitions in which every one of those sizes appears at least
-    once.  Colour multisets per size are counted as in count_b_enum.
+    For each candidate top power m^i up to n, counts the partitions in
+    which every size m^0..m^i appears at least once; a top power that n
+    cannot afford together with every smaller one (1 + m + ... + m^i > n)
+    counts 0 by itself.  Colour multisets per size are counted as in
+    count_b_enum.
     """
     if n < 1:
         raise ValueError(f"gap-free counts are defined for n >= 1, got {n}")
@@ -204,14 +205,8 @@ def count_c_enum(prob: PartitionProblem, n: int) -> int:
             for parts in range(1, remaining // p + 1)
         )
 
-    total = 0
-    minimal_cost = 0
-    for i, p in enumerate(powers):
-        minimal_cost += p
-        if minimal_cost > n:
-            break
-        total += ways_all_used(n, i)
-    return total
+    # a top power n cannot afford with every smaller one counts 0 by itself
+    return sum(ways_all_used(n, i) for i in range(len(powers)))
 
 
 def _b_coeffs(prob: PartitionProblem, truncation: int, index: int) -> list[int]:

@@ -17,6 +17,7 @@ from mary import cli, congruence, series
 from mary.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
+    EXIT_MISMATCH,
     EXIT_OK,
     GRID_MODULI,
     MAX_TERMS,
@@ -34,6 +35,7 @@ from mary.cli import (
 from mary import check_hypothesis
 from mary.congruence import expand_b_product, expand_c_product
 from mary.counting import PartitionProblem, count_b_series, count_c_series
+from mary.series import ModSeries
 
 
 def run(capsys, *argv):
@@ -46,6 +48,18 @@ def child_env():
     """os.environ with this checkout's src first on PYTHONPATH, for `python -m mary` children."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def expand_in_a_child(m, variant):
+    """`mary expand --N 10` as JSON records, in a child process, so that a
+    hang fails at the timeout instead of stalling the suite."""
+    done = subprocess.run(
+        [sys.executable, "-m", "mary", "expand", "--m", m, "--k", "1", "--variant", variant,
+         "--N", "10", "--format", "json"],
+        env=child_env(), capture_output=True, text=True, timeout=2,
+    )
+    assert done.returncode == EXIT_OK
+    return json.loads(done.stdout)
 
 
 class TestCount:
@@ -92,6 +106,27 @@ class TestCount:
                            "--n", "301", "--enum")
         assert code == EXIT_CONFIG
         assert "cap" in err
+
+    def test_one_row_text_table(self, capsys):
+        code, out, _ = run(capsys, "count", "--m", "2", "--k", "1", "--variant", "b", "--n", "5")
+        assert code == 0
+        assert out == "n  count  mod\n5  4      0\n"
+
+    @pytest.mark.parametrize("command", ["count", "residue"])
+    def test_one_row_range(self, capsys, command):
+        code, out, _ = run(capsys, command, "--m", "3", "--k", "2,1", "--variant", "b",
+                           "--range", "7..7", "--format", "json")
+        assert code == 0
+        assert [record["n"] for record in json.loads(out)] == [7]
+
+    @pytest.mark.parametrize("variant", ["b", "c"])
+    def test_enum_range_ending_at_the_cap(self, capsys, variant):
+        argv = ("count", "--m", "3", "--k", "1", "--variant", variant, "--range", "299..300",
+                "--format", "csv")
+        code, out, _ = run(capsys, *argv, "--enum")
+        assert code == 0
+        assert out == run(capsys, *argv)[1]
+        assert len(out.splitlines()) == 3
 
     def test_gapfree_zero_is_zero(self, capsys):
         for extra in ((), ("--enum",)):
@@ -162,15 +197,14 @@ class TestExpand:
 
     @pytest.mark.parametrize("m", ["1000000000000000003", "100000007"])
     def test_gapfree_at_a_huge_base_answers_at_once(self, m):
-        # a child process, so that a hang fails at the timeout instead of stalling the suite
-        done = subprocess.run(
-            [sys.executable, "-m", "mary", "expand", "--m", m, "--k", "1", "--variant", "c",
-             "--N", "10", "--format", "json"],
-            env=child_env(), capture_output=True, text=True, timeout=2,
-        )
-        assert done.returncode == EXIT_OK
-        records = json.loads(done.stdout)
+        records = expand_in_a_child(m, "c")
         assert len(records) == 11
+        assert all(r["match"] is True for r in records)
+
+    def test_unrestricted_at_a_huge_base_answers_at_once(self):
+        # the position-0 row stops at the truncation, not at m entries
+        records = expand_in_a_child("1000000000000000003", "b")
+        assert [r["rhs"] for r in records] == [1] * 11
         assert all(r["match"] is True for r in records)
 
     def test_hypothesis_failure_is_config_error(self, capsys):
@@ -363,7 +397,8 @@ class TestVerify:
     def test_tasks_of_a_point_share_its_problem(self, monkeypatch):
         # the c task reads the digit table that the b task left on their
         # shared problem: no record is compared field by field, and each
-        # point's table costs one witness call per digit bottom
+        # point's table costs one witness call, where a problem per task
+        # would cost two
         compares = []
         witnesses = []
         record_eq = series._Record.__eq__
@@ -386,7 +421,7 @@ class TestVerify:
         assert compares == []
         points = default_grid((3,))
         assert report["grid"]["points"] == len(points) == 14
-        assert calls == sum(len(congruence._bottoms(prob)[0]) for prob in points) == 44
+        assert calls == len(points) == 14
 
     @pytest.mark.parametrize("argv", [("--m", "5"), ("--m", "9", "--probe", "--N", "300")])
     def test_report_equal_at_one_two_and_three_workers(self, argv):
@@ -398,6 +433,11 @@ class TestVerify:
         assert reports[0]["totals"]["checked"] > 0
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
+
+    def test_zero_sweep_bound_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m", "3", "--N", "0")
+        assert code == 0
+        assert out.endswith("result: PASS\n")
 
     def test_csv_is_header_only_on_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "3", "--N", "30", "--format", "csv")
@@ -823,6 +863,14 @@ class TestSizeLimits:
         assert out == ""
         assert "limit" in err
 
+    def test_verify_sweep_bound_at_the_limit(self):
+        # configure only: nothing runs
+        parser = build_parser()
+        assert configure(parser.parse_args(["verify", "--N", str(MAX_TERMS - 1)])).N == 999999
+        with pytest.raises(ValueError) as exc:
+            configure(parser.parse_args(["verify", "--N", str(MAX_TERMS)]))
+        assert str(exc.value) == "--N asks for 1000001 terms, more than the limit of 1000000"
+
     def test_single_huge_n_is_not_a_size(self, capsys):
         code, out, _ = run(capsys, "residue", "--m", "3", "--k", "1", "--variant", "b",
                            "--n", str(10**100), "--format", "json")
@@ -846,6 +894,26 @@ class TestSizeLimits:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err == "error: unexpected MemoryError: no room\n"
+
+
+class TestExitCodes:
+    def test_codes_are_the_contract(self):
+        assert (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_BROKEN_PIPE) == (0, 1, 2, 141)
+
+    def test_expand_exits_0_1_and_2(self, capsys, monkeypatch):
+        argv = ("expand", "--m", "3", "--k", "1", "--N", "9")
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "expand", "--m", "2", "--k", "3", "--N", "8")[0] == 2
+        theorem = cli.expand_b_theorem
+
+        def off_by_one(prob, truncation):
+            rhs = theorem(prob, truncation)
+            return ModSeries(prob.m, truncation, [(c + 1) % prob.m for c in rhs.coeffs])
+
+        monkeypatch.setattr(cli, "expand_b_theorem", off_by_one)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert not any(record["match"] for record in json.loads(out))
 
 
 # (arguments, the one-line message after "error: ")

@@ -29,7 +29,7 @@ from mary import (
     residues_c,
     to_digits,
 )
-from mary import series
+from mary import congruence, series
 from mary.cli import default_grid
 from point_tables import GRID_LIMIT, grid_point_residues, point_residues
 
@@ -107,6 +107,21 @@ class TestHypothesis:
         # the offending entry sits at index 2, out of scope here
         assert check_hypothesis(problem(3, "1,2,3;1"), 1)
         assert not check_hypothesis(problem(3, "1,2,3;1"), 2)
+
+    def test_one_witness_search_decides_every_position(self, monkeypatch):
+        bounds = []
+        witness = congruence.coprimality_witness
+
+        def counted(modulus, bound):
+            bounds.append(bound)
+            return witness(modulus, bound)
+
+        monkeypatch.setattr(congruence, "coprimality_witness", counted)
+        prob = problem(10**18 + 3, "5,9,7,8;6")
+        assert len(congruence._bottoms(prob)[0]) == 5
+        for max_index in range(6):
+            assert check_hypothesis(prob, max_index)
+        assert bounds == [9]
 
     def test_digit_tables_are_freed_with_their_problems(self):
         # each problem keeps its own digit table, so querying many distinct
@@ -713,7 +728,9 @@ class TestReferenceForms:
                 outcome(reference_residue_c, n, prob, enforce), n
 
     @settings(max_examples=150, deadline=None)
-    @given(m=st.integers(2, 60), spec=unnormalized_specs)
+    @given(m=st.one_of(st.integers(2, 60),
+                       st.sampled_from([2**40, 3**20, 10**18 + 3, 6 * (10**9 + 7)])),
+           spec=unnormalized_specs)
     def test_check_hypothesis_equals_the_reference_loop(self, m, spec):
         prob = PartitionProblem(m, spec)
         for max_index in range(len(spec.explicit) + 4):
