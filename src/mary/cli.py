@@ -340,19 +340,19 @@ def grid_colour_specs(m: int, quota: int, *, failing: bool = False) -> list[Colo
     chosen ones become ColourSpecs.
     """
     import random
+    from itertools import product
 
     # the filter compares p only with bounds up to MAX_COLOUR_ENTRY, so
     # when m has no prime factor that small, m itself stands in for p
     p = coprimality_witness(m, MAX_COLOUR_ENTRY) or m
     entries = range(1, MAX_COLOUR_ENTRY + 1)
     singles = [((k,), k) for k in entries if (p > k) != failing]
-    extras = [(), *((a,) for a in entries), *((a, b) for a in entries for b in entries)]
-    # every other candidate, except those whose last entry equals the tail:
-    # that entry normalizes away, leaving a spec listed in its shorter form.
+    # every other candidate: a last entry equal to the tail normalizes away,
+    # leaving a spec listed in its shorter form or among the singles.
     # rng.sample reads longer by position, so the grid depends on this order.
-    longer = sorted(((k0, *extra), tail) for tail in entries for k0 in entries for extra in extras
-                    if (extra or k0 != tail) and extra[-1:] != (tail,)
-                    and (p > max(k0 - 1, *extra, tail)) != failing)
+    longer = sorted((explicit, tail) for tail in entries for size in (1, 2, 3)
+                    for explicit in product(entries, repeat=size) if explicit[-1] != tail
+                    and (p > max(explicit[0] - 1, *explicit[1:], tail)) != failing)
     chosen = singles[:quota]
     rng = random.Random(1009 * m + (1 if failing else 0))
     chosen.extend(rng.sample(longer, min(quota - len(chosen), len(longer))))
@@ -538,6 +538,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,7 +10,7 @@ checked coefficient by coefficient against the exact counting oracles.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 
 from . import series
 from .counting import PartitionProblem, count_b_series, count_c_series
@@ -34,6 +34,10 @@ __all__ = [
     "residues_c",
     "to_digits",
 ]
+
+# Most trial divisions one hypothesis check may run, about half a second;
+# past it the check is refused rather than left to run for a minute or more.
+_MAX_TRIAL_DIVISIONS = 10**7
 
 
 class Digits(_Record):
@@ -312,14 +316,14 @@ def residues_c(
         return [0]
     m = prob.m
     top_n = -(-limit // m) * m
-    top = len(_digits(top_n, m)) - 1
     if enforce_hypothesis:
-        _require_hypothesis(m, _bottoms(prob)[1], top)
+        _require_hypothesis(m, _bottoms(prob)[1], len(_digits(top_n, m)) - 1)
     tails = _levels(prob, top_n, 1)
     body = [0] * (top_n // m + 1)
-    for s in range(1, top + 1):
+    # level s - 1 is V_s; the last, V_{top+1} = [1], has no multiple to fill
+    for s, level in enumerate(tails[:-1], 1):
         step = m ** (s - 1)
-        tail = tails[s - 1][: top_n // m**s]
+        tail = level[: top_n // m**s]
         # 1 + (m - 1) * U = 1 - U mod m
         body[step::step] = tail if s % 2 else _kron(tail, (m - 1,), 1, m)
     # lead(d_0) for d_0 = m - 1, ..., 1, 0, the order n' ascends within a block
@@ -418,13 +422,21 @@ def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] |
     A position fails exactly when its bottom reaches the smallest prime
     factor p of m, so one search for p, up to the largest bottom, decides
     every position.  Filled in on first use and kept on the problem, freed
-    with it.
+    with it.  A search of more than _MAX_TRIAL_DIVISIONS divisions raises
+    ValueError instead.
     """
     try:
         return prob._digit_table
     except AttributeError:
         colours = prob.colours
         bottoms = (colours.explicit[0] - 1, *colours.explicit[1:], colours.tail)
+        # coprimality_witness divides by 2..min(bound, isqrt(m))
+        divisions = min(max(bottoms), isqrt(prob.m)) - 1
+        if divisions > _MAX_TRIAL_DIVISIONS:
+            raise ValueError(
+                f"the coprimality hypothesis for modulus {prob.m} needs {divisions} "
+                f"trial divisions, more than the limit of {_MAX_TRIAL_DIVISIONS}"
+            )
         p = coprimality_witness(prob.m, max(bottoms))
         failure = None if p is None else (next(i for i, k in enumerate(bottoms) if k >= p), p)
         object.__setattr__(prob, "_digit_table", (bottoms, failure))

@@ -486,6 +486,17 @@ class TestGrid:
         assert len(grid) == size
         assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
 
+    # past the five default moduli, so every candidate rule is exercised
+    @pytest.mark.parametrize("failing, size, digest", [
+        (False, 240, "7aae9f711ca858a58f61b0a34ffeb50233f7cfce7bb2e2d8aee91ddbfa80afb0"),
+        (True, 290, "fde86cabffba5cd148eeafee0f9e685134b1b93990dd5bd4e3f757b9dcc7d766"),
+    ])
+    def test_grids_for_moduli_2_to_39_are_pinned(self, failing, size, digest):
+        grid = default_grid(range(2, 40), failing=failing)
+        text = "\n".join(f"{p.m}:{p.colours}" for p in grid)
+        assert len(grid) == size
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_no_duplicate_points(self):
         grid = [(p.m, p.colours) for p in default_grid()]
         assert len(grid) == len(set(grid))
@@ -509,6 +520,17 @@ class TestGrid:
         assert mismatches
         keys = [(r["m"], r["k"], r["n"], r["check"]) for r in mismatches]
         assert keys == sorted(keys)
+
+    def test_probe_records_sort_by_modulus_before_spec(self, monkeypatch):
+        # over every probe modulus some spec texts of m = 5 sort before those
+        # of m = 2, so the capped head tells (m, k) order from (k, m) order
+        cfg = configure(build_parser().parse_args(["verify", "--N", "2", "--probe"]))
+        head = run_verification(cfg)["mismatches"]
+        monkeypatch.setattr(cli, "MISMATCH_RECORD_LIMIT", 10**9)
+        every = run_verification(cfg)["mismatches"]
+        every.sort(key=lambda r: (r["m"], r["k"], r["n"], r["check"]))
+        assert len(every) > MISMATCH_RECORD_LIMIT
+        assert head == every[:MISMATCH_RECORD_LIMIT]
 
     @pytest.mark.parametrize("failing", [False, True])
     def test_shared_oracle_slices_equal_the_separate_oracles(self, monkeypatch, failing):
@@ -616,6 +638,8 @@ class TestGoldenOutput:
         "probe-3": ("verify", "--probe", "--m", "3", "--N", "300"),
         "probe-9": ("verify", "--probe", "--m", "9", "--N", "200"),
         "pass-5": ("verify", "--m", "5", "--N", "300"),
+        # equal (m, k, n) records, so the check name breaks the tie
+        "probe-2": ("verify", "--probe", "--m", "2", "--k", "3", "--N", "10"),
     }
 
     @pytest.mark.parametrize("command, fmt, digest", [
@@ -626,6 +650,7 @@ class TestGoldenOutput:
         ("probe-9", "json", "d287116202ff13ea6bfe08ae61f8bf015c05be0a11fd74e7e872ebc03a86cb3e"),
         ("probe-9", "csv", "ec842abd62ef3ec0598220e8c9894dbece4dd42223eff15e5af15f63e74b2a3d"),
         ("pass-5", "text", "df8168a00972f4e4e1a262e6f8a1884e76978dbf5cbe2ff4abadbe0628c8cbe6"),
+        ("probe-2", "text", "dab7339251abf3f19844b3d5a1747f6d2e15e1d5bd12270de54dd5f7b81fb407"),
     ])
     def test_verify_stdout_is_pinned(self, capsys, command, fmt, digest):
         code, out, _ = run(capsys, *self.VERIFY[command], "--format", fmt)
@@ -870,6 +895,17 @@ class TestSizeLimits:
         with pytest.raises(ValueError) as exc:
             configure(parser.parse_args(["verify", "--N", str(MAX_TERMS)]))
         assert str(exc.value) == "--N asks for 1000001 terms, more than the limit of 1000000"
+
+    def test_unbounded_hypothesis_search_is_refused(self, capsys):
+        # trial division to min(10**12, isqrt(m)), 10**9 divisions, would take about a minute
+        started = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--m", "1000000000000000003",
+                             "--k", "1000000000000", "--variant", "b", "--n", "5")
+        assert time.perf_counter() - started < 2
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("error: the coprimality hypothesis for modulus 1000000000000000003 "
+                       "needs 999999999 trial divisions, more than the limit of 10000000\n")
 
     def test_single_huge_n_is_not_a_size(self, capsys):
         code, out, _ = run(capsys, "residue", "--m", "3", "--k", "1", "--variant", "b",

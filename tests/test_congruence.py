@@ -123,6 +123,16 @@ class TestHypothesis:
             assert check_hypothesis(prob, max_index)
         assert bounds == [9]
 
+    def test_witness_search_past_the_division_limit_is_refused(self, monkeypatch):
+        # isqrt(1009 * 1013) = 1010, so the search divides by 2..1010: 1009 divisions
+        prob = problem(1009 * 1013, "1011;1010")
+        monkeypatch.setattr(congruence, "_MAX_TRIAL_DIVISIONS", 1008)
+        with pytest.raises(ValueError, match="needs 1009 trial divisions, more than the limit of 1008"):
+            check_hypothesis(prob, 0)
+        # a refused problem keeps no digit table, so a higher limit answers it
+        monkeypatch.setattr(congruence, "_MAX_TRIAL_DIVISIONS", 1009)
+        assert check_hypothesis(prob, 0) == HypothesisCheck(False, 1009, 0)
+
     def test_digit_tables_are_freed_with_their_problems(self):
         # each problem keeps its own digit table, so querying many distinct
         # problems and dropping them leaves no memory behind
