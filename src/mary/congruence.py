@@ -10,7 +10,7 @@ checked coefficient by coefficient against the exact counting oracles.
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import comb
 
 from . import series
 from .counting import PartitionProblem, count_b_series, count_c_series
@@ -34,11 +34,6 @@ __all__ = [
     "residues_c",
     "to_digits",
 ]
-
-# Most trial divisions one hypothesis check may run, about half a second;
-# past it the check is refused rather than left to run for a minute or more.
-_MAX_TRIAL_DIVISIONS = 10**7
-
 
 class Digits(_Record):
     """Base-m digits of a nonnegative integer, least significant first.
@@ -176,10 +171,12 @@ def check_hypothesis(prob: PartitionProblem, max_index: int) -> HypothesisCheck:
 def binom_lift(top: int, bottom: int, modulus: int) -> Residue:
     """C(top, bottom) mod modulus, lifting small tops by modulus steps.
 
-    Requires gcd(modulus, bottom!) = 1.  When top < bottom (negative tops
-    included), top is raised by the least number of modulus steps that
-    reaches bottom; under the gcd condition the residue is the same for
-    every admissible number of steps, so the convention is canonical.
+    Requires gcd(modulus, bottom!) = 1; a search for it of more than
+    series._MAX_TRIAL_DIVISIONS trial divisions raises ValueError.  When
+    top < bottom (negative tops included), top is raised by the least
+    number of modulus steps that reaches bottom; under the gcd condition
+    the residue is the same for every admissible number of steps, so the
+    convention is canonical.
     """
     if bottom < 0:
         raise ValueError("bottom must be nonnegative")
@@ -205,10 +202,9 @@ def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     digits = _digits(n, prob.m)
-    bottoms, failure = _bottoms(prob)
     if enforce_hypothesis:
-        _require_hypothesis(prob.m, failure, len(digits) - 1)
-    return Residue(_level_at(bottoms, prob.m, 0, digits, 0), prob.m)
+        _require_hypothesis(prob, len(digits) - 1)
+    return Residue(_level_at(_bottoms(prob)[0], prob.m, 0, digits, 0), prob.m)
 
 
 def residues_b(
@@ -227,7 +223,7 @@ def residues_b(
         raise ValueError(f"limit must be nonnegative, got {limit}")
     m = prob.m
     if enforce_hypothesis:
-        _require_hypothesis(m, _bottoms(prob)[1], len(_digits(limit, m)) - 1)
+        _require_hypothesis(prob, len(_digits(limit, m)) - 1)
     # at most limit + 1 entries: m entries would never finish at a huge m
     row = _digit_row(prob, 0, min(m, limit + 1))
     return list(_kron(_levels(prob, limit, 0)[0], row, 0, m)[: limit + 1])
@@ -284,9 +280,9 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
         raise ValueError(f"the gap-free residue formula covers n >= 1, got {n_prime}")
     m = prob.m
     digits = _digits(-(-n_prime // m) * m, m)
-    bottoms, failure = _bottoms(prob)
     if enforce_hypothesis:
-        _require_hypothesis(m, failure, len(digits) - 1)
+        _require_hypothesis(prob, len(digits) - 1)
+    bottoms = _bottoms(prob)[0]
     s = 1
     while not digits[s]:
         s += 1
@@ -317,7 +313,7 @@ def residues_c(
     m = prob.m
     top_n = -(-limit // m) * m
     if enforce_hypothesis:
-        _require_hypothesis(m, _bottoms(prob)[1], len(_digits(top_n, m)) - 1)
+        _require_hypothesis(prob, len(_digits(top_n, m)) - 1)
     tails = _levels(prob, top_n, 1)
     body = [0] * (top_n // m + 1)
     # level s - 1 is V_s; the last, V_{top+1} = [1], has no multiple to fill
@@ -392,22 +388,23 @@ def expand_c_theorem(
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if enforce_hypothesis:
-        _require_hypothesis(m, _bottoms(prob)[1], len(_digits(truncation, m)))
+        _require_hypothesis(prob, len(_digits(truncation, m)))
     # entries l = 1..m; below m the truncation ends the first block
     lead = _digit_row(prob, 0, min(m, truncation) + 1)[1:]
     body = _kron(_levels(prob, truncation, 1)[0], lead, 0, m)
     return ModSeries(m, truncation, [1, *body[:truncation]])
 
 
-def _require_hypothesis(m: int, failure: tuple[int, int] | None, max_index: int) -> None:
-    """Raise CoprimalityError if failure, the (index, prime) of _bottoms, is within max_index."""
+def _require_hypothesis(prob: PartitionProblem, max_index: int) -> None:
+    """Raise CoprimalityError if the hypothesis fails for prob at an index through max_index."""
+    failure = _bottoms(prob)[1]
     if failure is not None and failure[0] <= max_index:
         index, prime = failure
         raise CoprimalityError(
-            f"coprimality hypothesis fails for modulus {m}: "
+            f"coprimality hypothesis fails for modulus {prob.m}: "
             f"prime {prime} offends at digit index {index}",
             prime=prime,
-            modulus=m,
+            modulus=prob.m,
             index=index,
         )
 
@@ -422,21 +419,13 @@ def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] |
     A position fails exactly when its bottom reaches the smallest prime
     factor p of m, so one search for p, up to the largest bottom, decides
     every position.  Filled in on first use and kept on the problem, freed
-    with it.  A search of more than _MAX_TRIAL_DIVISIONS divisions raises
-    ValueError instead.
+    with it.
     """
     try:
         return prob._digit_table
     except AttributeError:
         colours = prob.colours
         bottoms = (colours.explicit[0] - 1, *colours.explicit[1:], colours.tail)
-        # coprimality_witness divides by 2..min(bound, isqrt(m))
-        divisions = min(max(bottoms), isqrt(prob.m)) - 1
-        if divisions > _MAX_TRIAL_DIVISIONS:
-            raise ValueError(
-                f"the coprimality hypothesis for modulus {prob.m} needs {divisions} "
-                f"trial divisions, more than the limit of {_MAX_TRIAL_DIVISIONS}"
-            )
         p = coprimality_witness(prob.m, max(bottoms))
         failure = None if p is None else (next(i for i, k in enumerate(bottoms) if k >= p), p)
         object.__setattr__(prob, "_digit_table", (bottoms, failure))

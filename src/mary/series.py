@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# Most trial divisions one coprimality search may run, about half a second;
+# past it the search is refused rather than left to run for a minute or more.
+_MAX_TRIAL_DIVISIONS = 10**7
+
+
 class SeriesMismatchError(ValueError):
     """Operands disagree on truncation degree, modulus, or coefficient domain."""
 
@@ -101,11 +106,18 @@ def coprimality_witness(modulus: int, bound: int) -> int | None:
     gcd(modulus, bound!) > 1 exactly when some prime factor of the modulus
     is at most bound, and the smallest prime factor is then the smallest
     witness.  Trial division stops at min(bound, sqrt(modulus)), so a huge
-    prime modulus costs O(bound) steps, not O(sqrt(modulus)).
+    prime modulus costs O(bound) steps, not O(sqrt(modulus)).  A search of
+    more than _MAX_TRIAL_DIVISIONS divisions raises ValueError instead.
     """
     if modulus < 2:
         raise ValueError("coprimality_witness needs a modulus of at least 2")
-    for p in range(2, min(bound, isqrt(modulus)) + 1):
+    top = min(bound, isqrt(modulus))
+    if top - 1 > _MAX_TRIAL_DIVISIONS:
+        raise ValueError(
+            f"the coprimality hypothesis for modulus {modulus} needs {top - 1} "
+            f"trial divisions, more than the limit of {_MAX_TRIAL_DIVISIONS}"
+        )
+    for p in range(2, top + 1):
         if modulus % p == 0:
             return p
     # no factor up to sqrt(modulus) within the bound: a modulus that is
@@ -125,7 +137,11 @@ def _require_coprime(modulus: int, bound: int, factorial: str) -> None:
 
 
 def smallest_prime_factor(n: int) -> int:
-    """Smallest prime dividing n, for n >= 2."""
+    """Smallest prime dividing n, for n >= 2.
+
+    Raises ValueError when the search needs more than _MAX_TRIAL_DIVISIONS
+    trial divisions, as at a prime n near 10^18.
+    """
     if n < 2:
         raise ValueError("smallest_prime_factor needs n >= 2")
     # every prime factor of n is at most n, so one always divides n!
@@ -266,11 +282,13 @@ def neg_pow_series_exact(period: int, count: int, truncation: int) -> ExactSerie
 def neg_pow_series_mod(period: int, count: int, modulus: int, truncation: int) -> ModSeries:
     """Reduction of (1 - q^period)^(-count) to Z_modulus, in factored form.
 
-    Requires gcd(modulus, (count - 1)!) = 1.  Built literally as the product
-    of the geometric series in q^(period * modulus) with the degree-bounded
-    digit polynomial whose coefficient at q^(period * l) is
-    C(count - 1 + l, count - 1) for 0 <= l < modulus.  Under the coprimality
-    condition this equals reduce(neg_pow_series_exact(...), modulus).
+    Requires gcd(modulus, (count - 1)!) = 1; a search for it of more than
+    _MAX_TRIAL_DIVISIONS trial divisions raises ValueError.  Built
+    literally as the product of the geometric series in
+    q^(period * modulus) with the degree-bounded digit polynomial whose
+    coefficient at q^(period * l) is C(count - 1 + l, count - 1) for
+    0 <= l < modulus.  Under the coprimality condition this equals
+    reduce(neg_pow_series_exact(...), modulus).
     """
     _require_positive("period", period)
     _require_positive("count", count)

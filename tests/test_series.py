@@ -1,6 +1,10 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from mary import (
     reduce,
     smallest_prime_factor,
 )
+from mary import series
 from mary.series import _kron
 
 
@@ -282,6 +287,31 @@ class TestPrimitives:
         for bound in range(7):
             assert coprimality_witness(prime, bound) is None
         assert coprimality_witness(3 * prime, 6) == 3
+
+    def test_witness_search_past_the_division_limit_is_refused(self, monkeypatch):
+        # isqrt(1009 * 1013) = 1010, so the search divides by 2..1010: 1009 divisions
+        monkeypatch.setattr(series, "_MAX_TRIAL_DIVISIONS", 1008)
+        with pytest.raises(ValueError, match="needs 1009 trial divisions, more than the limit of 1008"):
+            coprimality_witness(1009 * 1013, 1010)
+        monkeypatch.setattr(series, "_MAX_TRIAL_DIVISIONS", 1009)
+        assert coprimality_witness(1009 * 1013, 1010) == 1009
+
+    @pytest.mark.parametrize("call", [
+        "smallest_prime_factor(10**18 + 3)",
+        "binom_lift(3, 10**12, 10**18 + 3)",
+        "neg_pow_series_mod(1, 10**12, 10**18 + 3, 3)",
+    ])
+    def test_library_search_past_the_division_limit_is_refused_at_once(self, call):
+        # 10**9 trial divisions would take about a minute; the call runs in a
+        # child process, so a hang fails at the timeout instead of stalling the suite
+        script = f"import mary\ntry:\n    mary.{call}\nexcept ValueError as e:\n    print(e)\n"
+        src = str(Path(series.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=5)
+        assert done.returncode == 0
+        assert done.stdout.endswith(
+            "needs 999999999 trial divisions, more than the limit of 10000000\n")
 
 
 class TestCoprimalityError:
