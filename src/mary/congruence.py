@@ -171,8 +171,8 @@ def check_hypothesis(prob: PartitionProblem, max_index: int) -> HypothesisCheck:
 def binom_lift(top: int, bottom: int, modulus: int) -> Residue:
     """C(top, bottom) mod modulus, lifting small tops by modulus steps.
 
-    Requires gcd(modulus, bottom!) = 1; a search for it of more than
-    series._MAX_TRIAL_DIVISIONS trial divisions raises ValueError.  When
+    Requires gcd(modulus, bottom!) = 1; a search for it past the
+    trial-division limit of coprimality_witness raises ValueError.  When
     top < bottom (negative tops included), top is raised by the least
     number of modulus steps that reaches bottom; under the gcd condition
     the residue is the same for every admissible number of steps, so the
@@ -202,9 +202,9 @@ def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     digits = _digits(n, prob.m)
-    if enforce_hypothesis:
-        _require_hypothesis(prob, len(digits) - 1)
-    return Residue(_level_at(_bottoms(prob)[0], prob.m, 0, digits, 0), prob.m)
+    max_index = len(digits) - 1
+    bottoms = _require_hypothesis(prob, max_index) if enforce_hypothesis else _bottoms(prob)[0]
+    return Residue(_level_at(bottoms, prob.m, 0, digits, 0), prob.m)
 
 
 def residues_b(
@@ -280,9 +280,8 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
         raise ValueError(f"the gap-free residue formula covers n >= 1, got {n_prime}")
     m = prob.m
     digits = _digits(-(-n_prime // m) * m, m)
-    if enforce_hypothesis:
-        _require_hypothesis(prob, len(digits) - 1)
-    bottoms = _bottoms(prob)[0]
+    max_index = len(digits) - 1
+    bottoms = _require_hypothesis(prob, max_index) if enforce_hypothesis else _bottoms(prob)[0]
     s = 1
     while not digits[s]:
         s += 1
@@ -395,9 +394,9 @@ def expand_c_theorem(
     return ModSeries(m, truncation, [1, *body[:truncation]])
 
 
-def _require_hypothesis(prob: PartitionProblem, max_index: int) -> None:
-    """Raise CoprimalityError if the hypothesis fails for prob at an index through max_index."""
-    failure = _bottoms(prob)[1]
+def _require_hypothesis(prob: PartitionProblem, max_index: int) -> tuple[int, ...]:
+    """Raise CoprimalityError for a failure through max_index; else return prob's bottoms."""
+    bottoms, failure = _bottoms(prob)
     if failure is not None and failure[0] <= max_index:
         index, prime = failure
         raise CoprimalityError(
@@ -407,6 +406,7 @@ def _require_hypothesis(prob: PartitionProblem, max_index: int) -> None:
             modulus=prob.m,
             index=index,
         )
+    return bottoms
 
 
 def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] | None]:
@@ -426,7 +426,13 @@ def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] |
     except AttributeError:
         colours = prob.colours
         bottoms = (colours.explicit[0] - 1, *colours.explicit[1:], colours.tail)
-        p = coprimality_witness(prob.m, max(bottoms))
+        try:
+            p = coprimality_witness(prob.m, max(bottoms))
+        except ValueError as e:
+            # here the search decides the hypothesis, and the error says so
+            raise ValueError(
+                str(e).replace("smallest-prime search", "coprimality hypothesis")
+            ) from None
         failure = None if p is None else (next(i for i, k in enumerate(bottoms) if k >= p), p)
         object.__setattr__(prob, "_digit_table", (bottoms, failure))
         return prob._digit_table

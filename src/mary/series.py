@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-# Most trial divisions one coprimality search may run, about half a second;
-# past it the search is refused rather than left to run for a minute or more.
+# Most trial divisions one coprimality search may run, under a second; past
+# it the search is refused rather than left to run for a minute or more.
 _MAX_TRIAL_DIVISIONS = 10**7
 
 
@@ -107,19 +107,21 @@ def coprimality_witness(modulus: int, bound: int) -> int | None:
     is at most bound, and the smallest prime factor is then the smallest
     witness.  Trial division stops at min(bound, sqrt(modulus)), so a huge
     prime modulus costs O(bound) steps, not O(sqrt(modulus)).  A search of
-    more than _MAX_TRIAL_DIVISIONS divisions raises ValueError instead.
+    more than _MAX_TRIAL_DIVISIONS divisions tries only the candidates up
+    to that limit, and raises ValueError if none divides the modulus.
     """
     if modulus < 2:
         raise ValueError("coprimality_witness needs a modulus of at least 2")
     top = min(bound, isqrt(modulus))
-    if top - 1 > _MAX_TRIAL_DIVISIONS:
-        raise ValueError(
-            f"the coprimality hypothesis for modulus {modulus} needs {top - 1} "
-            f"trial divisions, more than the limit of {_MAX_TRIAL_DIVISIONS}"
-        )
-    for p in range(2, top + 1):
+    stop = top if top - 1 <= _MAX_TRIAL_DIVISIONS else _MAX_TRIAL_DIVISIONS
+    for p in range(2, stop + 1):
         if modulus % p == 0:
             return p
+    if stop < top:
+        raise ValueError(
+            f"the smallest-prime search for modulus {modulus} needs {top - 1} "
+            f"trial divisions, more than the limit of {_MAX_TRIAL_DIVISIONS}"
+        )
     # no factor up to sqrt(modulus) within the bound: a modulus that is
     # itself at most bound is then prime
     return modulus if modulus <= bound else None
@@ -139,8 +141,8 @@ def _require_coprime(modulus: int, bound: int, factorial: str) -> None:
 def smallest_prime_factor(n: int) -> int:
     """Smallest prime dividing n, for n >= 2.
 
-    Raises ValueError when the search needs more than _MAX_TRIAL_DIVISIONS
-    trial divisions, as at a prime n near 10^18.
+    Raises ValueError past the trial-division limit of coprimality_witness,
+    as at a prime n near 10^18; a small factor still answers at once.
     """
     if n < 2:
         raise ValueError("smallest_prime_factor needs n >= 2")
@@ -282,8 +284,8 @@ def neg_pow_series_exact(period: int, count: int, truncation: int) -> ExactSerie
 def neg_pow_series_mod(period: int, count: int, modulus: int, truncation: int) -> ModSeries:
     """Reduction of (1 - q^period)^(-count) to Z_modulus, in factored form.
 
-    Requires gcd(modulus, (count - 1)!) = 1; a search for it of more than
-    _MAX_TRIAL_DIVISIONS trial divisions raises ValueError.  Built
+    Requires gcd(modulus, (count - 1)!) = 1; a search for it past the
+    trial-division limit of coprimality_witness raises ValueError.  Built
     literally as the product of the geometric series in
     q^(period * modulus) with the degree-bounded digit polynomial whose
     coefficient at q^(period * l) is C(count - 1 + l, count - 1) for

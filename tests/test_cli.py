@@ -907,6 +907,19 @@ class TestSizeLimits:
         assert err == ("error: the coprimality hypothesis for modulus 1000000000000000003 "
                        "needs 999999999 trial divisions, more than the limit of 10000000\n")
 
+    def test_small_factor_answers_a_search_past_the_limit(self, capsys):
+        # the same search, but the candidate 2 divides m: the hypothesis
+        # fails at index 0, so the point is skipped with its witness
+        started = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--m", "1000000000000000000",
+                             "--k", "1000000000000", "--variant", "b", "--n", "5")
+        assert time.perf_counter() - started < 2
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.splitlines()[1].endswith(
+            "skipped: coprimality hypothesis fails for modulus 1000000000000000000: "
+            "prime 2 offends at digit index 0")
+
     def test_single_huge_n_is_not_a_size(self, capsys):
         code, out, _ = run(capsys, "residue", "--m", "3", "--k", "1", "--variant", "b",
                            "--n", str(10**100), "--format", "json")

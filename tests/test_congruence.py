@@ -129,9 +129,13 @@ class TestHypothesis:
         monkeypatch.setattr(series, "_MAX_TRIAL_DIVISIONS", 1008)
         with pytest.raises(ValueError, match="needs 1009 trial divisions, more than the limit of 1008"):
             check_hypothesis(prob, 0)
+        # the candidates 2..1008 find no factor, so the search itself is refused
+        with pytest.raises(ValueError, match="needs 1009 trial divisions, more than the limit of 1008"):
+            series.coprimality_witness(1009 * 1013, 1010)
         # a refused problem keeps no digit table, so a higher limit answers it
         monkeypatch.setattr(series, "_MAX_TRIAL_DIVISIONS", 1009)
         assert check_hypothesis(prob, 0) == HypothesisCheck(False, 1009, 0)
+        assert series.coprimality_witness(1009 * 1013, 1010) == 1009
 
     def test_digit_tables_are_freed_with_their_problems(self):
         # each problem keeps its own digit table, so querying many distinct

@@ -15,6 +15,7 @@ from mary import (
     ExactSeries,
     ModSeries,
     SeriesMismatchError,
+    binom_lift,
     coprimality_witness,
     geometric_inverse_mod,
     mul,
@@ -288,13 +289,17 @@ class TestPrimitives:
             assert coprimality_witness(prime, bound) is None
         assert coprimality_witness(3 * prime, 6) == 3
 
-    def test_witness_search_past_the_division_limit_is_refused(self, monkeypatch):
-        # isqrt(1009 * 1013) = 1010, so the search divides by 2..1010: 1009 divisions
-        monkeypatch.setattr(series, "_MAX_TRIAL_DIVISIONS", 1008)
-        with pytest.raises(ValueError, match="needs 1009 trial divisions, more than the limit of 1008"):
-            coprimality_witness(1009 * 1013, 1010)
-        monkeypatch.setattr(series, "_MAX_TRIAL_DIVISIONS", 1009)
-        assert coprimality_witness(1009 * 1013, 1010) == 1009
+    def test_a_small_factor_answers_past_the_division_limit(self):
+        # isqrt(m) and the bound are past the limit, but a candidate within
+        # it divides m, so the search answers instead of being refused
+        assert smallest_prime_factor(10**18) == 2
+        assert coprimality_witness(3 * (10**18 + 3), 10**12) == 3
+        with pytest.raises(CoprimalityError) as exc:
+            binom_lift(3, 10**12, 10**18)
+        assert exc.value.prime == 2
+        with pytest.raises(CoprimalityError) as exc:
+            neg_pow_series_mod(1, 10**12, 10**18, 3)
+        assert exc.value.prime == 2
 
     @pytest.mark.parametrize("call", [
         "smallest_prime_factor(10**18 + 3)",
@@ -310,8 +315,8 @@ class TestPrimitives:
         done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=5)
         assert done.returncode == 0
-        assert done.stdout.endswith(
-            "needs 999999999 trial divisions, more than the limit of 10000000\n")
+        assert done.stdout == ("the smallest-prime search for modulus 1000000000000000003 "
+                               "needs 999999999 trial divisions, more than the limit of 10000000\n")
 
 
 class TestCoprimalityError:
