@@ -312,7 +312,7 @@ def cmd_residue(cfg: argparse.Namespace) -> int:
 def cmd_expand(cfg: argparse.Namespace) -> int:
     prob = PartitionProblem(cfg.m, cfg.colours)
     # the theorem side first: it refuses a problem outside the hypothesis
-    # before the exact series is built
+    # before the product series is built
     if cfg.variant == "b":
         rhs = expand_b_theorem(prob, cfg.N)
         lhs = expand_b_product(prob, cfg.N)
@@ -373,10 +373,11 @@ def default_grid(moduli=GRID_MODULI, *, failing: bool = False) -> list[Partition
 def _verify_cell(task: tuple) -> list[tuple]:
     """Run both checks of one (grid point, variant).  Must stay picklable.
 
-    The variant's product expansion, its exact series reduced mod m, is
-    built once, to the larger of the residue sweep limit and m**4.  The
-    corollary compares its first limit + 1 terms with the digit formula,
-    the theorem its first m**4 + 1 terms with the theorem's expansion.
+    The variant's product expansion, the counting series reduced mod m
+    level by level, is built once, to the larger of the residue sweep
+    limit and m**4.  The corollary compares its first limit + 1 terms
+    with the digit formula, the theorem its first m**4 + 1 terms with the
+    theorem's expansion.
     Returns one (checked, matched, mismatches) per check.
     """
     variant, prob, limit, probe = task

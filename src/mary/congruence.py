@@ -5,7 +5,7 @@ the base-m digits of n, provided every prime factor of m exceeds the
 relevant colour counts (k_0 - 1 for the unit parts, k_j for the rest).
 This module evaluates those closed forms, and also expands both sides of
 the series identities they come from, so each identity instance can be
-checked coefficient by coefficient against the exact counting oracles.
+checked coefficient by coefficient against the counting series, built mod m.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from . import series
-from .counting import PartitionProblem, count_b_series, count_c_series
+from .counting import PartitionProblem, _b_coeffs, _c_coeffs
 from .series import CoprimalityError, ModSeries, _kron, _Record, coprimality_witness
 
 __all__ = [
@@ -328,8 +328,14 @@ def residues_c(
 
 
 def expand_b_product(prob: PartitionProblem, truncation: int) -> ModSeries:
-    """Reduction mod m of the exact unrestricted counting series."""
-    return series.reduce(count_b_series(prob, truncation), prob.m)
+    """The unrestricted counting series mod m, built mod m level by level.
+
+    Equal to reducing count_b_series, since _b_coeffs reduces each level of
+    the same functional equation before spreading it.
+    """
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    return ModSeries(prob.m, truncation, _b_coeffs(prob, truncation, 0, prob.m))
 
 
 def expand_b_theorem(
@@ -354,16 +360,18 @@ def expand_b_theorem(
 
 
 def expand_c_product(prob: PartitionProblem, truncation: int) -> ModSeries:
-    """Reduction mod m of the gap-free counting series, normalized to lead with 1.
+    """The gap-free counting series mod m, built mod m level by level, leading with 1.
 
-    The exact series has constant term zero (c(0) = 0); the identity being
-    verified is stated for the series 1 + sum_{n>=1} c(n) q^n, so the
-    constant is set to 1 here.
+    Equal to reducing count_c_series, as for expand_b_product.  The exact
+    series has constant term zero (c(0) = 0); the identity being verified
+    is stated for the series 1 + sum_{n>=1} c(n) q^n, so the constant is
+    set to 1 here.
     """
-    m = prob.m
-    reduced = [c % m for c in count_c_series(prob, truncation).coeffs]
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    reduced = _c_coeffs(prob, truncation, 0, prob.m)
     reduced[0] = 1
-    return ModSeries(m, truncation, reduced)
+    return ModSeries(prob.m, truncation, reduced)
 
 
 def expand_c_theorem(

@@ -8,13 +8,17 @@ so a larger power never appears without every smaller one.
 
 Two deliberately independent oracles live here.  The series oracle builds
 exact generating functions out of (1 - q^{m^j})^{-k_j} factors, through
-the m-ary functional equation; the enumeration oracle recurses over
-powers and counts colour multisets directly.  They share no code beyond
-binomials, so one can check the other.
+the m-ary functional equation; its builders can also reduce each level
+mod m, for the product side of the congruence expansions.  The
+enumeration oracle recurses over powers and counts colour multisets
+directly, in one walk that takes at least 0 parts of each power for b
+and at least 1 for c.  They share no code beyond binomials, so one can
+check the other.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cache
 from itertools import accumulate
 from math import comb
@@ -161,23 +165,8 @@ def count_b_enum(prob: PartitionProblem, n: int) -> int:
     C(parts + k - 1, k - 1), the number of colour multisets of that size.
     Refuses n above ENUMERATION_CAP, where the series oracle should be used.
     """
-    _check_enum_args(n)
-    if n == 0:
-        return 1
-    powers = _powers_up_to(prob.m, n)
-
-    @cache
-    def ways(remaining: int, index: int) -> int:
-        k = prob.colours.count(index)
-        if index == 0:
-            return comb(remaining + k - 1, k - 1)
-        p = powers[index]
-        return sum(
-            comb(parts + k - 1, k - 1) * ways(remaining - parts * p, index - 1)
-            for parts in range(remaining // p + 1)
-        )
-
-    return ways(n, len(powers) - 1)
+    ways, top = _enum_walk(prob, n, 0)
+    return ways(n, top)
 
 
 def count_c_enum(prob: PartitionProblem, n: int) -> int:
@@ -191,58 +180,20 @@ def count_c_enum(prob: PartitionProblem, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"gap-free counts are defined for n >= 1, got {n}")
-    _check_enum_args(n)
-    powers = _powers_up_to(prob.m, n)
-
-    @cache
-    def ways_all_used(remaining: int, index: int) -> int:
-        k = prob.colours.count(index)
-        if index == 0:
-            return comb(remaining + k - 1, k - 1) if remaining >= 1 else 0
-        p = powers[index]
-        return sum(
-            comb(parts + k - 1, k - 1) * ways_all_used(remaining - parts * p, index - 1)
-            for parts in range(1, remaining // p + 1)
-        )
-
-    # a top power n cannot afford with every smaller one counts 0 by itself
-    return sum(ways_all_used(n, i) for i in range(len(powers)))
+    ways, top = _enum_walk(prob, n, 1)
+    return sum(ways(n, i) for i in range(top + 1))
 
 
-def _b_coeffs(prob: PartitionProblem, truncation: int, index: int) -> list[int]:
-    """Coefficients 0..truncation of B_index (see count_b_series)."""
-    if truncation == 0:
-        return [1]
-    coeffs = [0] * (truncation + 1)
-    coeffs[:: prob.m] = _b_coeffs(prob, truncation // prob.m, index + 1)
-    for _ in range(prob.colours.count(index)):
-        coeffs = list(accumulate(coeffs))
-    return coeffs
+def _enum_walk(
+    prob: PartitionProblem, n: int, least: int
+) -> tuple[Callable[[int, int], int], int]:
+    """The enumeration recursion ways(r, i), and the index of the largest power at most n.
 
-
-def _c_coeffs(prob: PartitionProblem, truncation: int, index: int) -> list[int]:
-    """Coefficients 0..truncation of C_index (see count_c_series)."""
-    if truncation == 0:
-        return [0]
-    inner = _c_coeffs(prob, truncation // prob.m, index + 1)
-    inner[0] = 1  # the 1 of 1 + C_{index+1}, whose own constant term is 0
-    coeffs = [0] * (truncation + 1)
-    coeffs[:: prob.m] = inner
-    for _ in range(prob.colours.count(index)):
-        coeffs = list(accumulate(coeffs))
-    # the factor's input is nonzero only on the m-lattice
-    coeffs[:: prob.m] = map(sub, coeffs[:: prob.m], inner)
-    return coeffs
-
-
-def _powers_up_to(m: int, n: int) -> list[int]:
-    powers = [1]
-    while powers[-1] * m <= n:
-        powers.append(powers[-1] * m)
-    return powers
-
-
-def _check_enum_args(n: int) -> None:
+    ways(r, i) counts the coloured partitions of r into the powers
+    m^0..m^i in which each power appears at least `least` times: 0 for
+    the unrestricted count, 1 for the gap-free one.  Refuses a negative n
+    and an n above ENUMERATION_CAP.
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > ENUMERATION_CAP:
@@ -250,3 +201,54 @@ def _check_enum_args(n: int) -> None:
             f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}; "
             f"use the series oracle (count_b_series / count_c_series) instead"
         )
+    m = prob.m
+    top = 0
+    while m ** (top + 1) <= n:
+        top += 1
+
+    @cache
+    def ways(remaining: int, index: int) -> int:
+        k = prob.colours.count(index)
+        if index == 0:
+            return comb(remaining + k - 1, k - 1) if remaining >= least else 0
+        p = m**index
+        return sum(
+            comb(parts + k - 1, k - 1) * ways(remaining - parts * p, index - 1)
+            for parts in range(least, remaining // p + 1)
+        )
+
+    return ways, top
+
+
+def _b_coeffs(
+    prob: PartitionProblem, truncation: int, index: int, modulus: int | None = None
+) -> list[int]:
+    """Coefficients 0..truncation of B_index (see count_b_series), mod modulus if given.
+
+    A modulus reduces each level once, before the next one spreads it:
+    reduction is a ring map, so it commutes with the functional equation.
+    """
+    if truncation == 0:
+        return [1]
+    coeffs = [0] * (truncation + 1)
+    coeffs[:: prob.m] = _b_coeffs(prob, truncation // prob.m, index + 1, modulus)
+    for _ in range(prob.colours.count(index)):
+        coeffs = list(accumulate(coeffs))
+    return coeffs if modulus is None else [c % modulus for c in coeffs]
+
+
+def _c_coeffs(
+    prob: PartitionProblem, truncation: int, index: int, modulus: int | None = None
+) -> list[int]:
+    """Coefficients 0..truncation of C_index (see count_c_series), mod modulus if given."""
+    if truncation == 0:
+        return [0]
+    inner = _c_coeffs(prob, truncation // prob.m, index + 1, modulus)
+    inner[0] = 1  # the 1 of 1 + C_{index+1}, whose own constant term is 0
+    coeffs = [0] * (truncation + 1)
+    coeffs[:: prob.m] = inner
+    for _ in range(prob.colours.count(index)):
+        coeffs = list(accumulate(coeffs))
+    # the factor's input is nonzero only on the m-lattice
+    coeffs[:: prob.m] = map(sub, coeffs[:: prob.m], inner)
+    return coeffs if modulus is None else [c % modulus for c in coeffs]

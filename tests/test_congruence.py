@@ -385,6 +385,22 @@ class TestExpansions:
         assert expand_b_product(prob, 8).coeffs[0] == 1
         assert expand_c_product(prob, 8).coeffs[0] == 1
 
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_product_sides_equal_the_reduced_exact_series_on_grid(self, failing):
+        # built mod m level by level, they equal one reduction of the exact series
+        for prob in default_grid(failing=failing):
+            m = prob.m
+            degree = max(2000, m**4)
+            assert expand_b_product(prob, degree) == series.reduce(count_b_series(prob, degree), m)
+            c = [v % m for v in count_c_series(prob, degree).coeffs]
+            c[0] = 1
+            assert expand_c_product(prob, degree).coeffs == tuple(c), prob
+
+    @pytest.mark.parametrize("build", [expand_b_product, expand_c_product])
+    def test_product_sides_refuse_a_negative_truncation(self, build):
+        with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+            build(problem(3, "2,1"), -1)
+
 
 def mul_chain_b_theorem(prob, truncation):
     """expand_b_theorem as a series.mul chain of one digit polynomial per position."""

@@ -215,6 +215,39 @@ class TestEnumerationOracle:
         with pytest.raises(ValueError):
             count_b_enum(problem(2, "1"), -1)
 
+    @pytest.mark.parametrize("spec", ["2", "3,1", "5,2;4"])
+    def test_zero_is_one_whatever_the_unit_colours(self, spec):
+        # the walk's bottom binomial C(k_0 - 1, k_0 - 1) counts the empty partition
+        for m in (2, 3, 9):
+            assert count_b_enum(problem(m, spec), 0) == 1
+
+    CAP_TEXT = (
+        f"n = {ENUMERATION_CAP + 1} exceeds the enumeration cap {ENUMERATION_CAP}; "
+        "use the series oracle (count_b_series / count_c_series) instead"
+    )
+
+    @pytest.mark.parametrize("n, kind, text", [
+        (-1, ValueError, "n must be nonnegative, got -1"),
+        (ENUMERATION_CAP + 1, EnumerationCapError, CAP_TEXT),
+    ])
+    def test_unrestricted_refusals(self, n, kind, text):
+        with pytest.raises(ValueError) as info:
+            count_b_enum(problem(3, "2,1"), n)
+        assert type(info.value) is kind
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("n, kind, text", [
+        # the n >= 1 refusal comes before the nonnegative one
+        (-1, ValueError, "gap-free counts are defined for n >= 1, got -1"),
+        (0, ValueError, "gap-free counts are defined for n >= 1, got 0"),
+        (ENUMERATION_CAP + 1, EnumerationCapError, CAP_TEXT),
+    ])
+    def test_gapfree_refusals(self, n, kind, text):
+        with pytest.raises(ValueError) as info:
+            count_c_enum(problem(3, "2,1"), n)
+        assert type(info.value) is kind
+        assert str(info.value) == text
+
 
 class TestOracleAgreement:
     PROBLEMS = [

@@ -1,6 +1,6 @@
 """Property tests: the series oracles, the batch sweeps, the point formulas at
-huge n, the gap-free expansion, the binomial lift, the formulas past a
-failing hypothesis and verify's compare step."""
+huge n, the gap-free expansion, the product sides built mod m, the binomial
+lift, the formulas past a failing hypothesis and verify's compare step."""
 
 import random
 from math import comb
@@ -110,6 +110,21 @@ def test_gapfree_formula_scales_by_the_lead_binomial_at_huge_n(prob, d0, x):
 @given(prob=admissible_problems(), degree=st.integers(0, 600))
 def test_gapfree_theorem_equals_product_on_admissible_specs(prob, degree):
     assert expand_c_theorem(prob, degree) == expand_c_product(prob, degree)
+
+
+@SETTINGS
+@given(m=st.one_of(st.integers(2, 30), st.just(257)),
+       spec=st.builds(ColourSpec, st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple),
+                      st.integers(1, 8)),
+       degree=st.integers(0, 3000))
+def test_product_sides_equal_the_reduced_exact_series(m, spec, degree):
+    # reduction mod m is a ring map, so reducing each level of the functional
+    # equation gives the residues of the exact series
+    prob = PartitionProblem(m, spec)
+    b = tuple(v % m for v in count_b_series(prob, degree).coeffs)
+    c = (1, *(v % m for v in count_c_series(prob, degree).coeffs[1:]))
+    assert expand_b_product(prob, degree).coeffs == b
+    assert expand_c_product(prob, degree).coeffs == c
 
 
 @settings(max_examples=200, deadline=None)
