@@ -3,6 +3,8 @@
 Both counting families admit closed forms modulo m that read nothing but
 the base-m digits of n, provided every prime factor of m exceeds the
 relevant colour counts (k_0 - 1 for the unit parts, k_j for the rest).
+Each formula hands the top digit position it reads to one gate, which
+enforces the hypothesis through it and returns the digit helpers' bottoms.
 This module evaluates those closed forms, and also expands both sides of
 the series identities they come from, so each identity instance can be
 checked coefficient by coefficient against the counting series, built mod m.
@@ -202,8 +204,7 @@ def residue_b(n: int, prob: PartitionProblem, *, enforce_hypothesis: bool = True
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     digits = _digits(n, prob.m)
-    max_index = len(digits) - 1
-    bottoms = _require_hypothesis(prob, max_index) if enforce_hypothesis else _bottoms(prob)[0]
+    bottoms = _require_hypothesis(prob, len(digits) - 1, enforce_hypothesis)
     return Residue(_level_at(bottoms, prob.m, 0, digits, 0), prob.m)
 
 
@@ -222,11 +223,10 @@ def residues_b(
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     m = prob.m
-    if enforce_hypothesis:
-        _require_hypothesis(prob, len(_digits(limit, m)) - 1)
+    bottoms = _require_hypothesis(prob, len(_digits(limit, m)) - 1, enforce_hypothesis)
     # at most limit + 1 entries: m entries would never finish at a huge m
-    row = _digit_row(prob, 0, min(m, limit + 1))
-    return list(_kron(_levels(prob, limit, 0)[0], row, 0, m)[: limit + 1])
+    row = _digit_row(bottoms, m, 0, min(m, limit + 1))
+    return list(_kron(_levels(bottoms, m, limit, 0)[0], row, 0, m)[: limit + 1])
 
 
 def decompose_gapfree(n_prime: int, base: int) -> GapFreeDecomposition:
@@ -280,8 +280,7 @@ def residue_c(n_prime: int, prob: PartitionProblem, *, enforce_hypothesis: bool 
         raise ValueError(f"the gap-free residue formula covers n >= 1, got {n_prime}")
     m = prob.m
     digits = _digits(-(-n_prime // m) * m, m)
-    max_index = len(digits) - 1
-    bottoms = _require_hypothesis(prob, max_index) if enforce_hypothesis else _bottoms(prob)[0]
+    bottoms = _require_hypothesis(prob, len(digits) - 1, enforce_hypothesis)
     s = 1
     while not digits[s]:
         s += 1
@@ -311,9 +310,8 @@ def residues_c(
         return [0]
     m = prob.m
     top_n = -(-limit // m) * m
-    if enforce_hypothesis:
-        _require_hypothesis(prob, len(_digits(top_n, m)) - 1)
-    tails = _levels(prob, top_n, 1)
+    bottoms = _require_hypothesis(prob, len(_digits(top_n, m)) - 1, enforce_hypothesis)
+    tails = _levels(bottoms, m, top_n, 1)
     body = [0] * (top_n // m + 1)
     # level s - 1 is V_s; the last, V_{top+1} = [1], has no multiple to fill
     for s, level in enumerate(tails[:-1], 1):
@@ -322,7 +320,7 @@ def residues_c(
         # 1 + (m - 1) * U = 1 - U mod m
         body[step::step] = tail if s % 2 else _kron(tail, (m - 1,), 1, m)
     # lead(d_0) for d_0 = m - 1, ..., 1, 0, the order n' ascends within a block
-    lead = _digit_row(prob, 0, min(m, limit + 1))
+    lead = _digit_row(bottoms, m, 0, min(m, limit + 1))
     lead = lead[1:] + lead[:1]
     return [0, *_kron(body[1:], lead, 0, m)[:limit]]
 
@@ -394,18 +392,17 @@ def expand_c_theorem(
     m = prob.m
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    if enforce_hypothesis:
-        _require_hypothesis(prob, len(_digits(truncation, m)))
+    bottoms = _require_hypothesis(prob, len(_digits(truncation, m)), enforce_hypothesis)
     # entries l = 1..m; below m the truncation ends the first block
-    lead = _digit_row(prob, 0, min(m, truncation) + 1)[1:]
-    body = _kron(_levels(prob, truncation, 1)[0], lead, 0, m)
+    lead = _digit_row(bottoms, m, 0, min(m, truncation) + 1)[1:]
+    body = _kron(_levels(bottoms, m, truncation, 1)[0], lead, 0, m)
     return ModSeries(m, truncation, [1, *body[:truncation]])
 
 
-def _require_hypothesis(prob: PartitionProblem, max_index: int) -> tuple[int, ...]:
-    """Raise CoprimalityError for a failure through max_index; else return prob's bottoms."""
+def _require_hypothesis(prob: PartitionProblem, max_index: int, enforce: bool) -> tuple[int, ...]:
+    """prob's bottoms; if enforce, first raise CoprimalityError on a failure through max_index."""
     bottoms, failure = _bottoms(prob)
-    if failure is not None and failure[0] <= max_index:
+    if enforce and failure is not None and failure[0] <= max_index:
         index, prime = failure
         raise CoprimalityError(
             f"coprimality hypothesis fails for modulus {prob.m}: "
@@ -446,11 +443,10 @@ def _bottoms(prob: PartitionProblem) -> tuple[tuple[int, ...], tuple[int, int] |
         return prob._digit_table
 
 
-def _digit_row(prob: PartitionProblem, index: int, length: int) -> list[int]:
+def _digit_row(bottoms: tuple[int, ...], m: int, index: int, length: int) -> list[int]:
     """The digit entries for digits 0..length-1 at one position."""
-    bottoms = _bottoms(prob)[0]
     k = bottoms[min(index, len(bottoms) - 1)]
-    return [comb(k + d, k) % prob.m for d in range(length)]
+    return [comb(k + d, k) % m for d in range(length)]
 
 
 def _level_at(bottoms: tuple[int, ...], m: int, p: int, digits: list[int], add: int) -> int:
@@ -468,7 +464,7 @@ def _level_at(bottoms: tuple[int, ...], m: int, p: int, digits: list[int], add: 
     return value
 
 
-def _levels(prob: PartitionProblem, top_n: int, add: int) -> list[bytearray | list[int]]:
+def _levels(bottoms: tuple[int, ...], m: int, top_n: int, add: int) -> list[bytearray | list[int]]:
     """The digit levels V_1, ..., V_{top+1} of top_n, top its top base-m index.
 
     Entry p - 1 is V_p over x in 0..top_n // m^p, tabulated top digit first by
@@ -483,11 +479,10 @@ def _levels(prob: PartitionProblem, top_n: int, add: int) -> list[bytearray | li
     no special case because R_p[0] = 0.  Below V_{top+1} the entries are
     bytearrays when m <= 256, and lists otherwise.
     """
-    m = prob.m
     levels = [[1]]
     for p in range(len(_digits(top_n, m)) - 1, 0, -1):
         size = top_n // m**p + 1
-        row = [(v - add) % m for v in _digit_row(prob, p, min(m, size))]
+        row = [(v - add) % m for v in _digit_row(bottoms, m, p, min(m, size))]
         levels.append(_kron(levels[-1], row, add, m)[:size])
     levels.reverse()
     return levels

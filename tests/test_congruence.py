@@ -547,6 +547,8 @@ class TestBatchResidues:
     @pytest.mark.parametrize("m, spec, degree", [
         (2, "3", 0), (2, "3", 8), (2, "1,3", 1), (2, "1,3", 3), (3, "1,2,3;1", 8),
         (3, "1,2,3;1", 9), (9, "1,1,1,3;1", 800), (5, "6,1", 4), (3, "2,1", -1),
+        # the last degrees that answer: one higher, both sides raise
+        (3, "1,2,3;1", 2), (9, "1,1,1,3;1", 80),
     ])
     def test_c_theorem_errors_match_mul_chain(self, m, spec, degree):
         prob = problem(m, spec)

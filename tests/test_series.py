@@ -159,6 +159,7 @@ class TestMul:
 class TestNegPowExact:
     def test_plain_geometric(self):
         assert neg_pow_series_exact(1, 1, 4).coeffs == (1, 1, 1, 1, 1)
+        assert neg_pow_series_exact(1, 1, 0).coeffs == (1,)
 
     def test_sparse_geometric(self):
         assert neg_pow_series_exact(3, 1, 7).coeffs == (1, 0, 0, 1, 0, 0, 1, 0)
@@ -190,6 +191,7 @@ class TestNegPowMod:
     def test_two_colours_mod_three(self):
         # l + 1 reduced mod 3 cycles 1, 2, 0
         assert neg_pow_series_mod(1, 2, 3, 5).coeffs == (1, 2, 0, 1, 2, 0)
+        assert neg_pow_series_mod(1, 2, 3, 0).coeffs == (1,)
 
     def test_sparse_two_colours_mod_three(self):
         s = neg_pow_series_mod(3, 2, 3, 9)
