@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import comb
 
 from . import series
-from .counting import PartitionProblem, _b_coeffs, _c_coeffs
+from .counting import PartitionProblem, _series_coeffs
 from .series import CoprimalityError, ModSeries, _kron, _Record, coprimality_witness
 
 __all__ = [
@@ -328,12 +328,12 @@ def residues_c(
 def expand_b_product(prob: PartitionProblem, truncation: int) -> ModSeries:
     """The unrestricted counting series mod m, built mod m level by level.
 
-    Equal to reducing count_b_series, since _b_coeffs reduces each level of
-    the same functional equation before spreading it.
+    Equal to reducing count_b_series, since _series_coeffs reduces each
+    level of the same functional equation before spreading it.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    return ModSeries(prob.m, truncation, _b_coeffs(prob, truncation, 0, prob.m))
+    return ModSeries(prob.m, truncation, _series_coeffs(prob, truncation, 0, 0, prob.m))
 
 
 def expand_b_theorem(
@@ -360,16 +360,13 @@ def expand_b_theorem(
 def expand_c_product(prob: PartitionProblem, truncation: int) -> ModSeries:
     """The gap-free counting series mod m, built mod m level by level, leading with 1.
 
-    Equal to reducing count_c_series, as for expand_b_product.  The exact
-    series has constant term zero (c(0) = 0); the identity being verified
-    is stated for the series 1 + sum_{n>=1} c(n) q^n, so the constant is
-    set to 1 here.
+    The identity being verified is stated for the series
+    1 + sum_{n>=1} c(n) q^n, which is D_0 of _series_coeffs with least = 1,
+    so this equals reducing count_c_series with its constant set to 1.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    reduced = _c_coeffs(prob, truncation, 0, prob.m)
-    reduced[0] = 1
-    return ModSeries(prob.m, truncation, reduced)
+    return ModSeries(prob.m, truncation, _series_coeffs(prob, truncation, 0, 1, prob.m))
 
 
 def expand_c_theorem(

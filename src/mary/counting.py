@@ -120,20 +120,14 @@ class PartitionProblem(_Record):
 def count_b_series(prob: PartitionProblem, truncation: int) -> ExactSeries:
     """Exact generating series of the unrestricted counts b(0..truncation).
 
-    The series is the product over j >= 0 of (1 - q^{m^j})^{-k_j}.  Writing
-    B_j for the product over the powers from m^j up, taken with q^{m^j}
-    renamed q, it obeys the m-ary functional equation
-
-        B_j(q) = (1 - q)^{-k_j} * B_{j+1}(q^m),
-
-    so B_{j+1} is only needed up to truncation // m.  Its coefficients are
-    spread onto every m-th slot and multiplied by (1 - q)^{-k_j} as k_j
-    prefix-sum passes, which costs about (k_0 + k_1/m + k_2/m^2 + ...)
-    * truncation big-integer additions in all.
+    The series is the product over j >= 0 of (1 - q^{m^j})^{-k_j}, which
+    is D_0 of _series_coeffs with least = 0: B_j, the product over the
+    powers from m^j up with q^{m^j} renamed q, obeys the m-ary functional
+    equation B_j(q) = (1 - q)^{-k_j} * B_{j+1}(q^m).
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    return ExactSeries(truncation, _b_coeffs(prob, truncation, 0))
+    return ExactSeries(truncation, _series_coeffs(prob, truncation, 0, 0))
 
 
 def count_c_series(prob: PartitionProblem, truncation: int) -> ExactSeries:
@@ -143,18 +137,17 @@ def count_c_series(prob: PartitionProblem, truncation: int) -> ExactSeries:
     prod_{j=0..i} ((1 - q^{m^j})^{-k_j} - 1), where term i collects the
     partitions whose used part sizes are exactly {m^0, ..., m^i}.  Writing
     C_j for the same sum over the powers from m^j up, taken with q^{m^j}
-    renamed q, the terms factor as
+    renamed q, 1 + C_j is D_j of _series_coeffs with least = 1:
 
-        C_j(q) = ((1 - q)^{-k_j} - 1) * (1 + C_{j+1}(q^m)),
+        C_j(q) = ((1 - q)^{-k_j} - 1) * (1 + C_{j+1}(q^m)).
 
-    evaluated like count_b_series: spread C_{j+1} onto every m-th slot, add
-    the 1, apply k_j prefix-sum passes and subtract the factor's input
-    again.  The constant term is zero: the empty partition is not counted,
-    c(0) = 0.
+    The constant term is zero: the empty partition is not counted, c(0) = 0.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    return ExactSeries(truncation, _c_coeffs(prob, truncation, 0))
+    coeffs = _series_coeffs(prob, truncation, 0, 1)
+    coeffs[0] = 0
+    return ExactSeries(truncation, coeffs)
 
 
 def count_b_enum(prob: PartitionProblem, n: int) -> int:
@@ -220,35 +213,35 @@ def _enum_walk(
     return ways, top
 
 
-def _b_coeffs(
-    prob: PartitionProblem, truncation: int, index: int, modulus: int | None = None
+def _series_coeffs(
+    prob: PartitionProblem, truncation: int, index: int, least: int, modulus: int | None = None
 ) -> list[int]:
-    """Coefficients 0..truncation of B_index (see count_b_series), mod modulus if given.
+    """Coefficients 0..truncation of D_index, mod modulus if given.
 
-    A modulus reduces each level once, before the next one spreads it:
-    reduction is a ring map, so it commutes with the functional equation.
+    D_j counts, with q^{m^j} renamed q, the partitions into the powers from
+    m^j up in which each power up to the largest one used appears at least
+    `least` times, as in _enum_walk.  It obeys the m-ary functional equation
+
+        D_j(q) = least + ((1 - q)^{-k_j} - least) * D_{j+1}(q^m),
+
+    so D_{j+1} is only needed up to truncation // m.  Its coefficients are
+    spread onto every m-th slot and multiplied by (1 - q)^{-k_j} as k_j
+    prefix-sum passes, which costs about (k_0 + k_1/m + k_2/m^2 + ...)
+    * truncation big-integer additions in all.  A modulus reduces each
+    level once, before the next one spreads it: reduction is a ring map,
+    so it commutes with the functional equation.
     """
     if truncation == 0:
         return [1]
-    coeffs = [0] * (truncation + 1)
-    coeffs[:: prob.m] = _b_coeffs(prob, truncation // prob.m, index + 1, modulus)
-    for _ in range(prob.colours.count(index)):
-        coeffs = list(accumulate(coeffs))
-    return coeffs if modulus is None else [c % modulus for c in coeffs]
-
-
-def _c_coeffs(
-    prob: PartitionProblem, truncation: int, index: int, modulus: int | None = None
-) -> list[int]:
-    """Coefficients 0..truncation of C_index (see count_c_series), mod modulus if given."""
-    if truncation == 0:
-        return [0]
-    inner = _c_coeffs(prob, truncation // prob.m, index + 1, modulus)
-    inner[0] = 1  # the 1 of 1 + C_{index+1}, whose own constant term is 0
+    inner = _series_coeffs(prob, truncation // prob.m, index + 1, least, modulus)
     coeffs = [0] * (truncation + 1)
     coeffs[:: prob.m] = inner
+    # least * D_{j+1}(q^m) lives on the m-lattice; at q^0 the added least
+    # cancels it, since D_{j+1}(0) = 1.  Keep only what is subtracted:
+    # holding all of D_{j+1} through the passes slows them.
+    inner = inner[1:] if least else None
     for _ in range(prob.colours.count(index)):
         coeffs = list(accumulate(coeffs))
-    # the factor's input is nonzero only on the m-lattice
-    coeffs[:: prob.m] = map(sub, coeffs[:: prob.m], inner)
+    if least:
+        coeffs[prob.m :: prob.m] = map(sub, coeffs[prob.m :: prob.m], inner)
     return coeffs if modulus is None else [c % modulus for c in coeffs]

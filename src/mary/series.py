@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-# Most trial divisions one coprimality search may run, under a second; past
-# it the search is refused rather than left to run for a minute or more.
+# One coprimality search tries at most the candidates 2..10^7, under a
+# second; past them it is refused rather than left to run for a minute or more.
 _MAX_TRIAL_DIVISIONS = 10**7
 
 
@@ -105,16 +105,19 @@ def coprimality_witness(modulus: int, bound: int) -> int | None:
 
     gcd(modulus, bound!) > 1 exactly when some prime factor of the modulus
     is at most bound, and the smallest prime factor is then the smallest
-    witness.  Trial division stops at min(bound, sqrt(modulus)), so a huge
-    prime modulus costs O(bound) steps, not O(sqrt(modulus)).  A search of
-    more than _MAX_TRIAL_DIVISIONS divisions tries only the candidates up
-    to that limit, and raises ValueError if none divides the modulus.
+    witness.  Trial division tries 2, then odd candidates only, and stops
+    at min(bound, sqrt(modulus)), so a huge prime modulus costs O(bound)
+    steps, not O(sqrt(modulus)).  A search of more than
+    _MAX_TRIAL_DIVISIONS divisions tries only the candidates up to that
+    limit, and raises ValueError if none divides the modulus.
     """
     if modulus < 2:
         raise ValueError("coprimality_witness needs a modulus of at least 2")
     top = min(bound, isqrt(modulus))
     stop = top if top - 1 <= _MAX_TRIAL_DIVISIONS else _MAX_TRIAL_DIVISIONS
-    for p in range(2, stop + 1):
+    if stop >= 2 and modulus % 2 == 0:
+        return 2
+    for p in range(3, stop + 1, 2):
         if modulus % p == 0:
             return p
     if stop < top:

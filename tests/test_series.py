@@ -120,6 +120,8 @@ class TestMul:
     def test_operator_delegates(self):
         s = ExactSeries(2, (1, 1, 0))
         assert (s * s).coeffs == (1, 2, 1)
+        t = ModSeries(3, 3, (1, 2, 0, 0))
+        assert (t * t).coeffs == (1, 1, 1, 0)
 
     def test_identity_element(self):
         rng = random.Random(11)
