@@ -24,7 +24,7 @@ import operator
 import os
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, compress, count, islice, repeat
 
 from .congruence import (
@@ -206,48 +206,132 @@ def _emit(columns: Sequence[Sequence], fmt: str, fields: tuple[str, ...]) -> Non
     Text and CSV are written EMIT_BLOCK_LINES lines at a time, the header
     being the first line of the first block.  In text every column but the
     last is as wide as its widest cell or header, the last is not padded,
-    and no line ends in blanks.
+    and no line ends in whitespace.
     """
     if fmt == "json":
         import json
 
         print(json.dumps([dict(zip(fields, row)) for row in zip(*columns)], indent=1))
         return
-    k = len(fields)
     if fmt == "csv":
         import csv
-    elif fmt == "text":
-        widths = [max(len(name), max(map(len, _texts(column)), default=0))
-                  for name, column in zip(fields, columns[:-1])]
-        line = "  ".join([*(f"%-{w}s" for w in widths), "%s"])
-    rows = len(columns[0])
-    # row -1 is the header
-    for start in range(-1, rows, EMIT_BLOCK_LINES):
-        head = fields if start < 0 else ()
-        lo, hi = max(start, 0), start + EMIT_BLOCK_LINES
-        if fmt == "csv":
+
+        def render(lo: int, hi: int, head: bool) -> str:
             buf = io.StringIO()
             writer = csv.writer(buf)
             if head:
-                writer.writerow(head)
+                writer.writerow(fields)
             writer.writerows(zip(*[column[lo:hi] for column in columns]))
-            sys.stdout.write(buf.getvalue())
-            continue
-        # filled column by column: cell i of a row sits at i, i + k, ...
-        cells = [*head, *repeat(None, (min(hi, rows) - lo) * k)]
-        for i, column in enumerate(columns, len(head)):
-            cells[i::k] = column[lo:hi]
-        text = "\n".join(repeat(line, len(cells) // k)) % tuple(cells) + "\n"
-        # the last column is not padded, so only an empty or blank-ended
-        # last cell, or a cell holding a newline, leaves a blank at a line's end
-        if " \n" in text:
+            return buf.getvalue()
+    else:
+        render = _text_renderer(columns, fields)
+    # row -1 is the header
+    for start in range(-1, len(columns[0]), EMIT_BLOCK_LINES):
+        sys.stdout.write(render(max(start, 0), start + EMIT_BLOCK_LINES, start < 0))
+
+
+def _text_renderer(columns: Sequence[Sequence],
+                   fields: tuple[str, ...]) -> Callable[[int, int, bool], str]:
+    """The aligned text of a table's rows lo to hi - 1, after its header
+    line when head is true, as a function of (lo, hi, head).
+
+    Every cell comes ready-made from _column_cells, padded and followed by
+    "  ", or by "\\n" in the last column, so a block is one join over the
+    cells of all columns, interleaved row by row.  The last column is not
+    padded, so only a last cell that is empty or ends in whitespace, or a
+    cell holding a newline, can leave whitespace at a line's end: every
+    block is right-stripped line by line when the last column has such a
+    cell, and otherwise only a block with more newlines than lines.
+    """
+    texts = list(map(_texts, columns))
+    widths = [max(len(name), max(map(len, cells), default=0))
+              for name, cells in zip(fields[:-1], texts)] + [0]
+    ends = [*repeat("  ", len(fields) - 1), "\n"]
+    slots = list(map(_column_cells, columns, texts, widths, ends))
+    header = "".join(name.ljust(width) + end for name, width, end in zip(fields, widths, ends))
+    strip = any(not text or text[-1].isspace() for text in set(texts[-1]))
+    total = len(columns[0])
+
+    def render(lo: int, hi: int, head: bool) -> str:
+        rows = min(hi, total) - lo
+        parts = [part for cells in slots for part in cells(lo, hi)]
+        k = len(parts)
+        # slot i of a row sits at i + 1, i + 1 + k, ...; the header before them
+        block = [header if head else "", *repeat(None, rows * k)]
+        for i, part in enumerate(parts, 1):
+            block[i::k] = part
+        text = "".join(block)
+        if strip or text.count("\n") > rows + head:
             text = "\n".join(map(str.rstrip, text.split("\n")))
-        sys.stdout.write(text)
+        return text
+
+    return render
+
+
+def _column_cells(column: Sequence, texts: Sequence[str], width: int,
+                  end: str) -> Callable[[int, int], tuple[Iterable[str], ...]]:
+    """A column's text cells as a function of (lo, hi): one or two slots per
+    row, each a sequence of one string per row lo to hi - 1, that make up
+    each cell padded to width and followed by end.  texts is _texts(column).
+
+    A range counting up from 0 or more gives its thousands ("" below 1000)
+    and then a tail from a table of a thousand per length of the thousands,
+    a column of strings the cell and then the pad its length needs, and any
+    other column one padded str() per distinct value.
+    """
+    if isinstance(column, range) and column.step == 1 and column.start >= 0:
+        tails = {}
+
+        def cells(lo: int, hi: int) -> tuple[list[str], list[str]]:
+            part = column[lo:hi]
+            heads, rest = [], []
+            for top in range(part.start - part.start % 1000, part.stop, 1000):
+                head = str(top // 1000) if top else ""
+                table = tails.get(len(head))
+                if table is None:
+                    table = tails[len(head)] = [
+                        ("%03d" % r if head else str(r)).ljust(width - len(head)) + end
+                        for r in range(1000)]
+                first, last = max(part.start, top) - top, min(part.stop, top + 1000) - top
+                heads += repeat(head, last - first)
+                rest += table[first:last]
+            return heads, rest
+    elif texts is column:
+        pads = [" " * (width - size) + end for size in range(width + 1)]
+
+        def cells(lo: int, hi: int) -> tuple[Sequence[str], Iterable[str]]:
+            part = column[lo:hi]
+            # width 0, as in the last column, pads nothing
+            return part, map(pads.__getitem__, map(len, part)) if width else repeat(end, len(part))
+    else:
+        padded = _PaddedCells(width, end)
+
+        def cells(lo: int, hi: int) -> tuple[Iterable[str]]:
+            return (map(padded.__getitem__, column[lo:hi]),)
+
+    return cells
+
+
+class _PaddedCells(dict):
+    """Text cells by value: str(value) padded to width and followed by end,
+    made on the first lookup of each distinct value.  True == 1, so a
+    column must not mix bools with other ints."""
+
+    def __init__(self, width: int, end: str) -> None:
+        super().__init__()
+        self.width, self.end = width, end
+
+    def __missing__(self, value) -> str:
+        text = self[value] = str(value).ljust(self.width) + self.end
+        return text
 
 
 def _texts(column: Sequence) -> Sequence[str]:
     """Enough of the str() of a column's cells, in C-level passes, to find
-    its widest cell."""
+    its widest cell and whether any cell is empty or ends in whitespace:
+    a range's two ends, a column of strings itself (which tells
+    _column_cells to use its cells as they are), or else one str() per
+    distinct value, as _PaddedCells makes them."""
     if not column:
         return ()
     if isinstance(column, range):
@@ -255,8 +339,8 @@ def _texts(column: Sequence) -> Sequence[str]:
         return str(column[0]), str(column[-1])
     if all(map(isinstance, column, repeat(str))):
         return column
-    # one str() per distinct value; set() would fold True into 1, so no
-    # table mixes bools with other ints in one column
+    # set() folds True into 1, as _PaddedCells' lookups do, so no table
+    # mixes bools with other ints in one column
     return list(map(str, set(column)))
 
 

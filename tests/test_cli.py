@@ -613,6 +613,16 @@ class TestGoldenOutput:
         "expand": ("expand", "--m", "3", "--k", "2,1", "--variant", "c", "--N", "81"),
         # empty cells, skipped points and an empty trailing note column
         "residue": ("residue", "--m", "6", "--k", "1,1,2", "--variant", "c", "--range", "0..40"),
+        # text only, past the pins above: n and the exponents cross 999/1000
+        # and 9999/10000, and the tables span several EMIT_BLOCK_LINES blocks
+        "count-20000": ("count", "--m", "2", "--k", "2;1", "--variant", "b",
+                        "--range", "0..20000"),
+        "count-990": ("count", "--m", "3", "--k", "2,1", "--variant", "c",
+                      "--range", "990..10010"),
+        "expand-78125": ("expand", "--m", "5", "--k", "1,4,3,3;4", "--variant", "c",
+                         "--N", "78125"),
+        "residue-990": ("residue", "--m", "6", "--k", "1,1,2", "--variant", "c",
+                        "--range", "990..1010"),
     }
 
     @pytest.mark.parametrize("command, fmt, digest", [
@@ -625,6 +635,11 @@ class TestGoldenOutput:
         ("residue", "text", "bdca18929c918add40aec5f408d56693c7f081ae945ef1aa6fa5177b53a7973d"),
         ("residue", "json", "d2ae6abdf2529413c8fc32b2f0eb34ec3d6cbbed21af2df71212cf2a5c916776"),
         ("residue", "csv", "22e225ad0789b837a4c1eba8d413cb683382ae8a7fb76c6c9ebe5e4166306c44"),
+        ("count-20000", "text", "e3543455d7a42153cf9950788b57ee7d08362e0dd7830f584cf8fde5479e2c26"),
+        ("count-990", "text", "bb041ec85f86349a4864eb700f56a0d1439bf7fa239379d6b22b307a82ebb13f"),
+        ("expand-78125", "text",
+         "da4e5e6176d6fb95ff899c02acb480eecc1cbf46ee21d479ef9b5133cf002539"),
+        ("residue-990", "text", "9c55d072332e4535ab3a387df14c8af66cab5ac6ab1ee5a3f7ceb29b63190ddd"),
     ])
     def test_stdout_is_pinned(self, capsys, command, fmt, digest):
         code, out, _ = run(capsys, *self.COMMANDS[command], "--format", fmt)
@@ -667,7 +682,9 @@ class TestGoldenOutput:
 
 
 def line_by_line_emit(columns, fmt, fields):
-    """_emit before block writes: CSV straight to stdout, text one line per writelines item."""
+    """_emit before block writes: CSV straight to stdout, text one row per
+    writelines item, every line of which (a cell may hold a newline) is
+    right-stripped."""
     rows = list(zip(*columns))
     if fmt == "json":
         print(json.dumps([dict(zip(fields, row)) for row in rows], indent=1))
@@ -679,7 +696,8 @@ def line_by_line_emit(columns, fmt, fields):
         widths = [max(map(len, map(str, column))) for column in zip(fields, *rows)]
         template = "  ".join(f"{{!s:<{w}}}" for w in widths)
         sys.stdout.writelines(
-            template.format(*cells).rstrip() + "\n" for cells in chain((fields,), rows)
+            "\n".join(map(str.rstrip, template.format(*cells).split("\n"))) + "\n"
+            for cells in chain((fields,), rows)
         )
 
 
@@ -768,11 +786,16 @@ class TestColumnarEmit:
         # n goes from 2 to 3 digits in the second block
         "range-not-at-0": (range(90, 110), [str(n * n) for n in range(90, 110)],
                            [n % 7 for n in range(90, 110)]),
+        # a range counting down, with n crossing 1000, takes the by-value cells
+        "range-counting-down": (range(1010, 990, -1), ["x"] * 20, list(ROWS)),
         "wider-in-a-later-block": (ROWS, ["x"] * 19 + ["a much wider cell"], list(ROWS)),
         # as in residue's notes: empty last cells leave blanks to strip
         "ints-among-empty-strings": (ROWS, ["" if n % 3 else n * 1000 for n in ROWS],
                                      ["" if n % 4 else "note" for n in ROWS]),
         "bools": (ROWS, [n % 3 == 0 for n in ROWS], [n % 3 == 0 for n in ROWS]),
+        # one kind of last cell per block of 7 lines: a tab, nothing, a blank
+        "blank-ended-last-cells": (ROWS, ["x"] * 20,
+                                   [("y\t", "", "z ")[(n + 1) // 7] for n in ROWS]),
     }
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -815,8 +838,9 @@ class TestColumnarEmit:
         ("verify", "--m", "9", "--probe", "--N", "20", "--format", "csv"),
     ])
     def test_no_table_column_mixes_bools_and_ints(self, capsys, monkeypatch, argv):
-        # the text width pass measures each distinct value once, and a set
-        # folds True into 1
+        # the text width pass measures each distinct value once, and the
+        # text cells are made once per distinct value, looked up in a dict:
+        # both a set and a dict fold True into 1
         tables = []
         real_emit = cli._emit
         monkeypatch.setattr(cli, "_emit", lambda columns, fmt, fields: (

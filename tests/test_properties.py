@@ -1,9 +1,13 @@
 """Property tests: the series oracles, the batch sweeps, the point formulas at
 huge n, the gap-free expansion, the product sides built mod m, the binomial
-lift, the formulas past a failing hypothesis and verify's compare step."""
+lift, the formulas past a failing hypothesis, verify's compare step and the
+text and CSV tables."""
 
+import io
 import random
+from contextlib import redirect_stdout
 from math import comb
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,8 +32,10 @@ from mary import (
     smallest_prime_factor,
     to_digits,
 )
+from mary import cli
 from mary.cli import MISMATCH_RECORD_LIMIT, _compare, default_grid
 from mary.congruence import _bottoms
+from test_cli import line_by_line_emit
 from test_counting import fold_b_series, fold_c_series
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -237,3 +243,45 @@ def test_compare_equals_a_plain_walk(m, length, start, types, share, seed):
     oracle, formula = types[0](oracle), types[1](formula)
     assert (_compare("check", prob, start, oracle, formula)
             == plain_compare("check", prob, start, oracle, formula))
+
+
+# the cells of one table column after its range of n: bools alone, never
+# mixed with ints (True == 1 would fold them), ints among empty strings as
+# in residue's residues, and strings that end in whitespace or hold a newline
+CELLS = {
+    "strings": st.sampled_from(["", " ", "\t", "\n", "a", "12"]),
+    "ints": st.integers(-5, 120),
+    "ints-or-empty": st.one_of(st.just(""), st.integers(0, 12)),
+    "bools": st.booleans(),
+}
+
+
+class CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@SETTINGS
+@given(start=st.integers(0, 12000) | st.integers(960, 1000) | st.integers(9960, 10000),
+       rows=st.integers(0, 30), kinds=st.lists(st.sampled_from(list(CELLS)), max_size=3),
+       block=st.integers(1, 9), data=st.data())
+def test_emit_equals_line_by_line(start, rows, kinds, block, data):
+    # n crosses 999/1000 and 9999/10000 when it starts just below them
+    columns = [range(start, start + rows),
+               *(data.draw(st.lists(CELLS[kind], min_size=rows, max_size=rows))
+                 for kind in kinds)]
+    fields = ("n", *kinds)
+    for fmt in ("text", "csv"):
+        out = CountedWrites()
+        with mock.patch.object(cli, "EMIT_BLOCK_LINES", block), redirect_stdout(out):
+            cli._emit(columns, fmt, fields)
+        want = io.StringIO()
+        with redirect_stdout(want):
+            line_by_line_emit(columns, fmt, fields)
+        assert out.getvalue() == want.getvalue()
+        assert out.calls == -(-(rows + 1) // block)
